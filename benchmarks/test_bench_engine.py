@@ -1,4 +1,4 @@
-"""Engine benchmarks: warm-cache speedup, shard scaling, cache backends.
+"""Engine benchmarks: warm-cache speedup, shard scaling, the sqlite store.
 
 The engine's performance claims, measured on the Elbtunnel trees:
 
@@ -7,16 +7,15 @@ The engine's performance claims, measured on the Elbtunnel trees:
 * a sharded Monte Carlo run distributes its sample budget across worker
   processes with identical (deterministic) results, scaling toward the
   machine's core count;
-* on the contended warm-read workload — several fresh processes each
-  opening the persisted store and reading their own slice of hot
-  entries, the serve/CI deployment pattern — the sqlite backend beats
-  the JSON backend, because a JSON reader must re-parse the whole store
-  per process while sqlite pays one ``open()`` plus per-key reads.
+* the persistent sqlite store is timed on a cold write, a warm read,
+  threads sharing one handle and several fresh processes each opening
+  the store and reading their own slice of hot entries (the serve/CI
+  deployment pattern), and every reader finds every entry.
 
-Cold/warm/contended timings for both backends land in the
-``backend_*`` entries of ``BENCH_ENGINE_JSON`` (the CI benchmark-smoke
-job uploads it as ``BENCH_engine.json``); set ``BENCH_QUICK=1`` to
-shrink the workloads for smoke runs.
+Cold/warm/contended timings land in the ``backend_sqlite`` entry of
+``BENCH_ENGINE_JSON`` (the CI benchmark-smoke job uploads it as
+``BENCH_engine.json``); set ``BENCH_QUICK=1`` to shrink the workloads
+for smoke runs.
 """
 
 import json
@@ -37,13 +36,12 @@ from repro.elbtunnel.model import p_hv_odfinal
 from repro.engine import (
     Engine,
     MonteCarloJob,
-    ResultCache,
     SqliteCache,
     SweepJob,
     WorkerPool,
 )
 from repro.engine.cache import MISS
-from repro.fta import FaultTree
+from repro.fta import FaultTree, hazard_probability
 from repro.fta.dsl import AND, KOFN, hazard, primary
 from repro.viz import format_table
 
@@ -81,25 +79,37 @@ def voting_tree(width: int = 12) -> "FaultTree":
     return FaultTree(hazard("H", gate=KOFN("vote", 3, *branches).gate))
 
 
-def sweep_job(points_per_axis: int = 9) -> SweepJob:
-    """A Fig. 5-shaped 2-D sweep, quantified exactly at every point.
+class PerPointSweepJob(SweepJob):
+    """A sweep quantified point by point with ``hazard_probability``.
 
-    Pinned to the interpreted per-point path: this benchmark measures
-    the *cache's* speedup over recomputation, so the cold run must pay
-    the full per-point cost (the compiled path has its own benchmark in
-    ``test_bench_compile.py``).
+    This benchmark measures the *cache's* speedup over recomputation,
+    so the cold run pays the full per-point cost of the interpreted
+    reference (the compiled production route has its own benchmark in
+    ``test_bench_compile.py``).  Same kind and fingerprint as
+    :class:`SweepJob`: a plain sweep of the same grid hits the entry
+    this job wrote.
     """
+
+    def run_serial(self):
+        return self._result([
+            hazard_probability(self.tree, overrides, method=self.method,
+                               policy=self.policy)
+            for overrides in self._overrides()])
+
+
+def sweep_job(points_per_axis: int = 9, job_class=SweepJob) -> SweepJob:
+    """A Fig. 5-shaped 2-D sweep, quantified exactly at every point."""
     values = [0.01 + 0.005 * i for i in range(points_per_axis)]
-    return SweepJob.from_axes(
+    return job_class.from_axes(
         voting_tree(), {"a0": identity("pa0"), "b0": identity("pb0")},
-        {"pa0": values, "pb0": values}, method="exact", compiled=False)
+        {"pa0": values, "pb0": values}, method="exact")
 
 
 def test_warm_cache_sweep_speedup(report):
     engine = Engine(workers=1)
     # Two distinct job objects over two distinct tree objects: the warm
     # hit comes from content addressing, not object identity.
-    cold_job = sweep_job()
+    cold_job = sweep_job(job_class=PerPointSweepJob)
     warm_job = sweep_job()
 
     start = time.perf_counter()
@@ -198,16 +208,14 @@ def _keys():
     return [f"fp-{i:04d}" for i in range(N_ENTRIES)]
 
 
-def _open_store(backend: str, path: str, **kwargs):
-    if backend == "sqlite":
-        return SqliteCache(path, capacity=N_ENTRIES * 2, **kwargs)
-    return ResultCache(capacity=N_ENTRIES * 2, path=path)
+def _open_store(path: str) -> SqliteCache:
+    return SqliteCache(path, capacity=N_ENTRIES * 2)
 
 
-def _populate(backend: str, path: str) -> float:
+def _populate(path: str) -> float:
     """Cold write: populate and persist the whole store."""
     start = time.perf_counter()
-    cache = _open_store(backend, path)
+    cache = _open_store(path)
     for i, key in enumerate(_keys()):
         cache.put(key, _payload(i))
     cache.save()
@@ -215,10 +223,10 @@ def _populate(backend: str, path: str) -> float:
     return time.perf_counter() - start
 
 
-def _warm_read(backend: str, path: str) -> float:
+def _warm_read(path: str) -> float:
     """Warm read in a fresh process-like context: open + read all."""
     start = time.perf_counter()
-    cache = _open_store(backend, path)
+    cache = _open_store(path)
     for key in _keys():
         assert cache.get(key) is not MISS
     elapsed = time.perf_counter() - start
@@ -226,7 +234,7 @@ def _warm_read(backend: str, path: str) -> float:
     return elapsed
 
 
-def _contended_worker(backend, path, offset, out):
+def _contended_worker(path, offset, out):
     """One contending reader: fresh store handle, its own slice of keys.
 
     Each worker reads the disjoint slice ``keys[offset::PROCESSES]``
@@ -235,12 +243,12 @@ def _contended_worker(backend, path, offset, out):
     It reports its own CPU seconds (``time.process_time``): the
     wall-clock span of one of several concurrent readers on a saturated
     box mostly measures the scheduler, while CPU seconds capture the
-    work a reader actually pays — the JSON backend parses the entire
-    store to serve any key, sqlite reads only the keys asked for.
+    work a reader actually pays — one ``open()`` plus the keys asked
+    for.
     """
     keys = _keys()[offset::PROCESSES]
     start = time.process_time()
-    cache = _open_store(backend, path)
+    cache = _open_store(path)
     try:
         found = sum(1 for key in keys if cache.get(key) is not MISS)
         out.put((found, time.process_time() - start))
@@ -248,12 +256,12 @@ def _contended_worker(backend, path, offset, out):
         cache.close()
 
 
-def _contended_processes(backend: str, path: str):
+def _contended_processes(path: str):
     """Returns (aggregate reader CPU seconds, wall seconds)."""
     context = multiprocessing.get_context("fork")
     out = context.Queue()
     procs = [context.Process(target=_contended_worker,
-                             args=(backend, path, offset, out))
+                             args=(path, offset, out))
              for offset in range(PROCESSES)]
     start = time.perf_counter()
     for proc in procs:
@@ -268,9 +276,9 @@ def _contended_processes(backend: str, path: str):
     return sum(elapsed for _, elapsed in results), wall
 
 
-def _contended_threads(backend: str, path: str) -> float:
+def _contended_threads(path: str) -> float:
     """Thread contention against one shared in-process store handle."""
-    cache = _open_store(backend, path)
+    cache = _open_store(path)
     keys = _keys()
     barrier = threading.Barrier(THREADS)
     errors = []
@@ -299,64 +307,38 @@ def _contended_threads(backend: str, path: str) -> float:
 
 @pytest.fixture
 def backend_stores(tmp_path):
-    """Both backends populated with identical matrix-shaped payloads."""
-    paths = {"json": str(tmp_path / "bench.json"),
-             "sqlite": str(tmp_path / "bench.db")}
-    cold = {name: _populate(name, path) for name, path in paths.items()}
-    return paths, cold
+    """The sqlite store populated with matrix-shaped payloads."""
+    path = str(tmp_path / "bench.db")
+    return path, _populate(path)
 
 
 def test_backend_cold_warm_contended(report, backend_stores):
-    paths, cold = backend_stores
-    warm = {name: _warm_read(name, path)
-            for name, path in paths.items()}
-    threaded = {name: _contended_threads(name, path)
-                for name, path in paths.items()}
-    contended = {}
-    contended_wall = {}
-    for name, path in paths.items():
-        contended[name], contended_wall[name] = \
-            _contended_processes(name, path)
-
-    rows = []
-    for name in ("json", "sqlite"):
-        rows.append([name, f"{cold[name]:.4f}", f"{warm[name]:.4f}",
-                     f"{threaded[name]:.4f}", f"{contended[name]:.4f}"])
-    speedup = contended["json"] / contended["sqlite"] \
-        if contended["sqlite"] > 0 else float("inf")
-    rows.append(["sqlite speedup", "", "",
-                 "", f"{speedup:.1f}x"])
+    path, cold = backend_stores
+    warm = _warm_read(path)
+    threaded = _contended_threads(path)
+    contended, contended_wall = _contended_processes(path)
     report(format_table(
-        ["backend", "cold write [s]", "warm read [s]",
+        ["store", "cold write [s]", "warm read [s]",
          f"{THREADS}-thread warm [s]",
-         f"{PROCESSES}-process warm [CPU s]"], rows,
-        title=f"Engine — cache backends, {N_ENTRIES} sweep-shaped "
+         f"{PROCESSES}-process warm [CPU s]"],
+        [["sqlite", f"{cold:.4f}", f"{warm:.4f}", f"{threaded:.4f}",
+          f"{contended:.4f}"]],
+        title=f"Engine — sqlite store, {N_ENTRIES} sweep-shaped "
               f"entries ({FLOATS_PER_ENTRY} floats each)"))
-    for name in ("json", "sqlite"):
-        _record(f"backend_{name}",
-                cold_write_s=cold[name], warm_read_s=warm[name],
-                contended_threads_s=threaded[name],
-                contended_processes_cpu_s=contended[name],
-                contended_processes_wall_s=contended_wall[name],
-                entries=N_ENTRIES, thread_reads_per_worker=READS,
-                process_reads_per_worker=N_ENTRIES // PROCESSES,
-                processes=PROCESSES, threads=THREADS)
-    _record("backend_contended_speedup", sqlite_over_json=speedup)
-    # The acceptance claim: on the deployment-shaped contended warm-read
-    # workload (fresh process per reader), sqlite must beat JSON — the
-    # JSON backend re-parses the entire store in every reader process.
-    assert contended["sqlite"] < contended["json"], \
-        (f"sqlite contended warm read ({contended['sqlite']:.4f}s) not "
-         f"faster than json ({contended['json']:.4f}s)")
+    _record("backend_sqlite",
+            cold_write_s=cold, warm_read_s=warm,
+            contended_threads_s=threaded,
+            contended_processes_cpu_s=contended,
+            contended_processes_wall_s=contended_wall,
+            entries=N_ENTRIES, thread_reads_per_worker=READS,
+            process_reads_per_worker=N_ENTRIES // PROCESSES,
+            processes=PROCESSES, threads=THREADS)
 
 
 def test_backend_warm_hit_equivalence(backend_stores):
-    """Both stores return value-equal payloads for every fingerprint."""
-    paths, _cold = backend_stores
-    json_cache = _open_store("json", paths["json"])
-    sqlite_cache = _open_store("sqlite", paths["sqlite"])
+    """The store returns value-equal payloads for every fingerprint."""
+    path, _cold = backend_stores
+    cache = _open_store(path)
     for i, key in enumerate(_keys()):
-        expected = _payload(i)
-        assert json_cache.get(key) == expected
-        assert sqlite_cache.get(key) == expected
-    sqlite_cache.close()
+        assert cache.get(key) == _payload(i)
+    cache.close()

@@ -19,9 +19,7 @@ The implementation is an index-based *arena* kernel:
   with integer opcodes (plus a true ternary ``ite``); every traversal
   uses an explicit stack, so deep diagrams never hit the recursion limit,
 * :func:`~repro.bdd.prob.probability` evaluates the function's satisfaction
-  probability in one bottom-up pass over the leveled arena, and
-  :func:`~repro.bdd.prob.probability_batch` runs the same pass over a
-  whole ``(batch, n_vars)`` probability matrix,
+  probability in one bottom-up pass over the leveled arena,
 * :func:`~repro.bdd.mcs.minimal_cut_sets` extracts prime implicants of the
   monotone function via Rauzy's minimal-solutions construction on integer
   bitmasks with popcount-grouped absorption,
@@ -32,7 +30,7 @@ The implementation is an index-based *arena* kernel:
 
 from repro.bdd.manager import FALSE, TRUE, BDDManager, Node
 from repro.bdd.mcs import minimal_cut_sets
-from repro.bdd.prob import probability, probability_batch
+from repro.bdd.prob import probability
 from repro.bdd.sift import SiftResult, sift
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "TRUE",
     "FALSE",
     "probability",
-    "probability_batch",
     "minimal_cut_sets",
     "SiftResult",
     "sift",

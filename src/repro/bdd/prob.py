@@ -8,8 +8,7 @@ is true is computed in a single bottom-up pass over its BDD:
 The pass runs over the manager's arena in ascending index order — a
 topological level order, since decision nodes are always created after
 their cofactors — so no recursion and no per-node dictionary walk is
-involved, and :func:`probability_batch` evaluates the same pass over a
-whole ``(batch, n_vars)`` probability matrix with NumPy row arithmetic.
+involved.
 
 This is exact — unlike the paper's standard formula (Eq. 1), which sums
 minimal-cut-set products and "neglects second and higher-order terms".  The
@@ -20,8 +19,6 @@ approximation's error.
 from __future__ import annotations
 
 from typing import Dict
-
-import numpy as np
 
 from repro.bdd.manager import BDDManager, Node
 from repro.errors import BDDError
@@ -66,43 +63,6 @@ def probability(manager: BDDManager, node: Node,
                 raise BDDError(
                     f"probability of {name!r} must be in [0, 1], got {p}")
             prob_of[var] = p
-        values[n] = (1.0 - p) * values[lows[n]] + p * values[highs[n]]
-    return values[index]
-
-
-def probability_batch(manager: BDDManager, node: Node,
-                      matrix: "np.ndarray") -> "np.ndarray":
-    """Exact probabilities for a whole batch of variable valuations.
-
-    ``matrix`` has shape ``(batch, manager.var_count)``; column ``j``
-    holds the probability of the variable at order position ``j`` for
-    each batch point.  Returns a ``(batch,)`` array, bit-identical to
-    calling :func:`probability` row by row (the per-node arithmetic is
-    the same fused expression, applied to whole columns at once).
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != manager.var_count:
-        raise BDDError(
-            f"probability matrix must have shape "
-            f"(batch, {manager.var_count}), got {matrix.shape}")
-    batch = matrix.shape[0]
-    index = node.index
-    if index == 1:
-        return np.ones(batch)
-    if index == 0:
-        return np.zeros(batch)
-    vars_, lows, highs = manager.arena
-    order = manager.topological_indices(node)
-    for var in {vars_[n] for n in order}:
-        column = matrix[:, var]
-        if not np.all((column >= 0.0) & (column <= 1.0)):
-            raise BDDError(
-                f"probability of {manager.var_name(var)!r} must be "
-                "in [0, 1]")
-    values: Dict[int, np.ndarray] = {0: np.zeros(batch),
-                                     1: np.ones(batch)}
-    for n in order:
-        p = matrix[:, vars_[n]]
         values[n] = (1.0 - p) * values[lows[n]] + p * values[highs[n]]
     return values[index]
 

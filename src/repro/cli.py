@@ -125,30 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--workers", type=int, default=1,
                        help="worker processes for shardable jobs")
     batch.add_argument("--cache",
-                       help="result-cache file persisted across runs "
-                            "(JSON or sqlite, see --cache-backend)")
-    batch.add_argument("--cache-backend",
-                       choices=["auto", "json", "sqlite"], default="auto",
-                       help="cache backend; auto picks sqlite for "
-                            ".db/.sqlite/.sqlite3 paths (default: auto)")
+                       help="sqlite result-cache file persisted across "
+                            "runs (default: in-memory only)")
     batch.add_argument("--cache-ttl", type=float,
                        help="seconds before cached entries expire "
-                            "(sqlite backend only)")
+                            "(needs --cache)")
     batch.add_argument("--cache-max-bytes", type=int,
                        help="payload byte budget before LRU eviction "
-                            "(sqlite backend only)")
+                            "(needs --cache)")
     batch.add_argument("--warm-manifest",
                        help="warm the cache from a manifest of hot "
                             "fingerprints before running")
     batch.add_argument("--write-manifest",
                        help="after the run, write the hottest cache "
                             "fingerprints to this manifest file")
-    batch.add_argument("--compiled", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="evaluate sweeps through the repro.compile "
-                            "vectorized batch evaluator (default: "
-                            "--compiled; results are bit-identical "
-                            "either way)")
     batch.add_argument("--fault-plan",
                        help="JSON fault-injection plan (see "
                             "docs/resilience.md) applied to the pool "
@@ -178,17 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
                              "larger than this many nodes")
     whatif.add_argument("--cache",
                         help="persist per-module tapes/values to this "
-                             "cache file across runs")
-    whatif.add_argument("--cache-backend",
-                        choices=["auto", "json", "sqlite"], default="auto",
-                        help="cache backend; auto picks sqlite for "
-                             ".db/.sqlite/.sqlite3 paths (default: auto)")
+                             "sqlite cache file across runs")
     whatif.add_argument("--cache-ttl", type=float,
                         help="seconds before cached entries expire "
-                             "(sqlite backend only)")
+                             "(needs --cache)")
     whatif.add_argument("--cache-max-bytes", type=int,
                         help="payload byte budget before LRU eviction "
-                             "(sqlite backend only)")
+                             "(needs --cache)")
     whatif.add_argument("--json", action="store_true", dest="as_json",
                         help="stream machine-readable NDJSON instead "
                              "of text")
@@ -204,22 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes for shardable jobs")
     serve.add_argument("--cache",
-                       help="result-cache file loaded on start and "
-                            "persisted on shutdown (JSON or sqlite, "
-                            "see --cache-backend)")
-    serve.add_argument("--cache-backend",
-                       choices=["auto", "json", "sqlite"], default="auto",
-                       help="cache backend; auto picks sqlite for "
-                            ".db/.sqlite/.sqlite3 paths (default: auto)")
+                       help="sqlite result-cache file shared across "
+                            "restarts (default: in-memory only)")
     serve.add_argument("--cache-capacity", type=int, default=4096,
                        help="entry capacity of the shared result cache "
                             "(default: 4096)")
     serve.add_argument("--cache-ttl", type=float,
                        help="seconds before cached entries expire "
-                            "(sqlite backend only)")
+                            "(needs --cache)")
     serve.add_argument("--cache-max-bytes", type=int,
                        help="payload byte budget before LRU eviction "
-                            "(sqlite backend only)")
+                            "(needs --cache)")
     serve.add_argument("--warm-manifest",
                        help="warm the cache from a manifest of hot "
                             "fingerprints before taking traffic")
@@ -447,13 +428,12 @@ def _cmd_batch(args) -> None:
             spec = json.load(handle)
         except json.JSONDecodeError as exc:
             raise EngineError(f"invalid job file: {exc}") from None
-    jobs = jobs_from_payload(spec, compiled=args.compiled)
+    jobs = jobs_from_payload(spec)
     fault_plan = None
     if args.fault_plan:
         from repro.resilience import load_fault_plan
         fault_plan = load_fault_plan(args.fault_plan)
     engine = Engine(workers=args.workers, cache_path=args.cache,
-                    cache_backend=args.cache_backend,
                     cache_ttl=args.cache_ttl,
                     cache_max_bytes=args.cache_max_bytes,
                     warm_manifest=args.warm_manifest,
@@ -475,10 +455,9 @@ def _cmd_batch(args) -> None:
                                    index=i - 1)
                    for i, (job, outcome)
                    in enumerate(zip(jobs, outcomes), 1)]
-        stats = engine.stats()
         print(json.dumps({"results": payload,
-                          "stats": {"backend": stats.cache_backend,
-                                    **stats.cache}}, indent=2,
+                          "stats": {"backend": engine.cache.name,
+                                    **engine.stats().cache}}, indent=2,
                          sort_keys=True))
         return
     print(f"batch: {len(results)} jobs from {args.file}")
@@ -558,8 +537,7 @@ def _cmd_whatif(args) -> None:
 
     cache = None
     if args.cache:
-        cache = create_cache(backend=args.cache_backend, path=args.cache,
-                             ttl=args.cache_ttl,
+        cache = create_cache(path=args.cache, ttl=args.cache_ttl,
                              max_bytes=args.cache_max_bytes)
     session = IncrementalSession(tree, probabilities, cache=cache,
                                  sift_threshold=args.sift_threshold)
@@ -603,7 +581,6 @@ def _cmd_serve(args) -> None:
     config = ServerConfig(host=args.host, port=args.port,
                           workers=args.workers,
                           cache_path=args.cache,
-                          cache_backend=args.cache_backend,
                           cache_capacity=args.cache_capacity,
                           cache_ttl=args.cache_ttl,
                           cache_max_bytes=args.cache_max_bytes,

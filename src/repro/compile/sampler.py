@@ -34,8 +34,12 @@ from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 
 #: Samples per evaluation block: bounds peak memory at
-#: ``block * n_leaves`` doubles regardless of the total budget.
-_BLOCK = 1 << 16
+#: ``block * n_leaves`` draws regardless of the total budget.  The draws
+#: are built as a Python list of floats first (~32 bytes each), so at
+#: the corridor tree's 129 leaves a 4,096-sample block stays near 17 MB.
+#: Draws are sample-major from one stream, so the block size moves no
+#: draw and no count.
+_BLOCK = 1 << 12
 
 
 class CompiledSampler:

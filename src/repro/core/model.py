@@ -75,22 +75,23 @@ class FaultTreeHazard(HazardModel):
         the paper's standard choice is ``rare_event``.
     policy:
         Constraint-probability policy for INHIBIT conditions.
-    compiled:
-        Evaluate through :mod:`repro.compile` where the method supports
-        it (default).  The tree is compiled once and reused across every
-        :meth:`probability` call — the optimizer-objective hot path —
-        with results bit-identical to the interpreted quantification.
+
+    Where the method supports it (:func:`repro.compile.supports_compilation`)
+    the tree is compiled once and reused across every :meth:`probability`
+    call — the optimizer-objective hot path — with results bit-identical
+    to the interpreted quantification, which remains the fallback for
+    the other methods.
     """
 
     def __init__(self, tree: FaultTree,
                  assignments: Optional[Mapping[str, Assignment]] = None,
                  method: str = "rare_event",
-                 policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
-                 compiled: bool = True):
+                 policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT):
+        from repro.compile import supports_compilation
         self.tree = tree
         self.method = method
         self.policy = policy
-        self.compiled = bool(compiled)
+        self._compilable = supports_compilation(tree, method)
         self._evaluator = None
         self.assignments: Dict[str, ParametricProbability] = {}
         for name, value in (assignments or {}).items():
@@ -112,18 +113,13 @@ class FaultTreeHazard(HazardModel):
     def _compiled_evaluator(self):
         """The lazily built (and then reused) compiled evaluator.
 
-        Returns ``None`` when compilation is disabled or the method is
-        not compilable (e.g. ``inclusion_exclusion``, or cut-set methods
-        on non-coherent trees — those fall back to the interpreted path
-        and fail there with the interpreted path's own diagnostics).
+        Returns ``None`` when the method is not compilable (e.g.
+        ``inclusion_exclusion``, or cut-set methods on non-coherent
+        trees — those fall back to the interpreted path and fail there
+        with the interpreted path's own diagnostics).
         """
-        if not self.compiled:
-            return None
-        if self._evaluator is None:
-            from repro.compile import compile_tree, supports_compilation
-            if not supports_compilation(self.tree, self.method):
-                self.compiled = False
-                return None
+        if self._evaluator is None and self._compilable:
+            from repro.compile import compile_tree
             self._evaluator = compile_tree(
                 self.tree, self.method, self.policy,
                 cut_sets=self._cut_sets)
@@ -171,11 +167,10 @@ class FaultTreeHazard(HazardModel):
         if axes is not None:
             return SweepJob.from_axes(self.tree, self.assignments, axes,
                                       method=self.method,
-                                      policy=self.policy, chunks=chunks,
-                                      compiled=self.compiled)
+                                      policy=self.policy, chunks=chunks)
         return SweepJob(self.tree, self.assignments, grid,
                         method=self.method, policy=self.policy,
-                        chunks=chunks, compiled=self.compiled)
+                        chunks=chunks)
 
     def probability_grid(self, axes=None, grid=None, engine=None):
         """Quantify this hazard over a parameter grid.

@@ -9,9 +9,10 @@ engine:
 * :mod:`repro.engine.jobs`        — job specs with validation,
 * :mod:`repro.engine.fingerprint` — canonical structural hashing so
   semantically identical requests share a cache key,
-* :mod:`repro.engine.cache`       — pluggable result-cache backends
-  behind one :class:`CacheBackend` interface: the JSON/LRU fallback and
-  a WAL-mode sqlite store with TTL/size eviction and manifest warming,
+* :mod:`repro.engine.cache`       — result caches behind one
+  :class:`CacheBackend` interface: an in-memory LRU without a path, a
+  WAL-mode sqlite store with TTL/size eviction and manifest warming at
+  any path,
 * :mod:`repro.engine.payload`     — the binary (npy-style) payload
   codec the sqlite backend stores matrix-shaped results with,
 * :mod:`repro.engine.pool`        — a multiprocessing worker pool with a
@@ -27,7 +28,7 @@ Quickstart::
 
     from repro.engine import Engine, SweepJob
 
-    engine = Engine(workers=4, cache_path="results.json")
+    engine = Engine(workers=4, cache_path="results.db")
     job = SweepJob.from_axes(tree, {"OT1": p_ot1, "OT2": p_ot2},
                              axes={"T1": t1_values, "T2": t2_values})
     surface = engine.run(job)      # recomputed
@@ -36,7 +37,6 @@ Quickstart::
 """
 
 from repro.engine.cache import (
-    BACKENDS,
     CacheBackend,
     CacheStats,
     ResultCache,
@@ -94,7 +94,6 @@ __all__ = [
     "ResultCache",
     "SqliteCache",
     "create_cache",
-    "BACKENDS",
     "CacheStats",
     "read_manifest",
     "write_manifest",

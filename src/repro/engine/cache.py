@@ -1,4 +1,4 @@
-"""Pluggable result-cache backends keyed by job fingerprints.
+"""Result caches keyed by job fingerprints.
 
 Keys are the content-addressed job fingerprints from
 :mod:`repro.engine.fingerprint`; values are whatever the owning job chose
@@ -6,14 +6,14 @@ to store (the engine stores JSON-safe encoded results for persistable
 jobs, raw objects for memory-only ones).  A cache never interprets the
 values — it only orders, bounds and persists them.
 
-Two backends implement one :class:`CacheBackend` interface:
+Two stores implement one :class:`CacheBackend` interface, and the cache
+path alone picks between them (:func:`create_cache`):
 
-:class:`ResultCache` (``"json"``)
-    The zero-dependency fallback: an in-memory LRU with optional JSON
-    disk persistence.  Fast single-process warm reads (a dict lookup),
-    but the whole file is parsed on load and rewritten on save.
+:class:`ResultCache` (no path, ``"memory"``)
+    An in-process LRU: a warm read is a dict lookup, nothing outlives
+    the process.
 
-:class:`SqliteCache` (``"sqlite"``)
+:class:`SqliteCache` (any path, ``"sqlite"``)
     A WAL-mode sqlite store for the service layer and multi-machine CI:
     concurrent readers (per-thread connections, reads are write-free),
     a single serialized writer, binary npy-style payloads for
@@ -21,13 +21,9 @@ Two backends implement one :class:`CacheBackend` interface:
     size-based eviction, and durable persistence — a fresh process pays
     one ``open()`` instead of re-parsing the full store.
 
-:func:`create_cache` selects a backend by name (``"auto"`` picks sqlite
-for ``.db``/``.sqlite``/``.sqlite3`` paths), and manifests of hot
-fingerprints (:func:`write_manifest` / :func:`read_manifest` /
-:meth:`CacheBackend.warm`) pre-heat either backend before traffic
-arrives.  Both backends store value-equal payloads for the same entries
-— fingerprints and coalescing semantics never depend on the backend
-(the cross-backend conformance suite pins this).
+Manifests of hot fingerprints (:func:`write_manifest` /
+:func:`read_manifest` / :meth:`CacheBackend.warm`) pre-heat either store
+before traffic arrives.
 
 A corrupt store is never fatal — at construction *or* mid-operation.
 The **degradation chain** runs: damaged store file → quarantine
@@ -36,7 +32,10 @@ failing (or cannot even be re-created), fall through permanently to the
 in-memory side table.  Every step logs, increments the
 ``degraded``/``retries`` counters in :class:`CacheStats` (surfaced in
 ``EngineStats`` and a service's ``/stats``), and keeps serving: a cache
-failure degrades performance, never correctness and never the job.
+failure degrades performance, never correctness and never the job.  A
+file holding a JSON result store (the format earlier versions wrote) is
+not a damaged store: opening one raises :class:`EngineError` naming it
+and leaves the file as it is.
 
 For chaos testing, every backend exposes the ``cache.get`` /
 ``cache.put`` / ``payload.decode`` injection sites of a
@@ -72,11 +71,7 @@ _STORE_ERRORS = (sqlite3.Error, OSError)
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 MISS = object()
 
-_PERSIST_VERSION = 1
 _MANIFEST_VERSION = 1
-
-#: Path suffixes that make ``backend="auto"`` pick the sqlite store.
-SQLITE_SUFFIXES = (".db", ".sqlite", ".sqlite3")
 
 
 @dataclass
@@ -242,42 +237,30 @@ class CacheBackend:
 
 
 class ResultCache(CacheBackend):
-    """A bounded least-recently-used mapping of fingerprints to results.
+    """A bounded in-memory LRU mapping of fingerprints to results.
+
+    The cache of every engine without a cache path.
 
     Parameters
     ----------
     capacity:
-        Maximum number of entries held in memory; the least recently used
-        entry is evicted on overflow.
-    path:
-        Optional JSON file for persistence.  When given and the file
-        exists, its entries are loaded eagerly (a corrupt file is
-        quarantined, not fatal); :meth:`save` writes the current
-        persistable entries back.  Entries stored with ``persist=False``
-        (results that are not JSON-serializable, e.g. optimizer runs)
-        live in memory only.
+        Maximum number of entries held; the least recently used entry is
+        evicted on overflow.
 
-    Every operation that touches the LRU order or the statistics runs
-    under one internal lock, so a cache instance can be shared between
-    the threads of a long-running service (:mod:`repro.serve`) without
-    corrupting the recency list or losing counter updates.
+    Nothing is persisted, so ``persist`` on :meth:`put` has no effect and
+    :meth:`save` / :meth:`load` raise.  Every operation that touches the
+    LRU order or the statistics runs under one internal lock, so a cache
+    instance can be shared between the threads of a long-running service
+    (:mod:`repro.serve`) without corrupting the recency list or losing
+    counter updates.
     """
 
-    name = "json"
+    name = "memory"
 
-    def __init__(self, capacity: int = 1024,
-                 path: Optional[str] = None):
-        super().__init__(capacity, path)
-        self._entries: "OrderedDict[str, Tuple[bool, Any]]" = OrderedDict()
-        # Reentrant: load() calls put() with the lock already held.
-        self._lock = threading.RLock()
-        if path is not None and os.path.exists(path):
-            try:
-                self.load(path)
-            except EngineError as exc:
-                # A damaged persisted cache must never take the engine
-                # down: quarantine it and start cold (every get misses).
-                quarantine(path, exc)
+    def __init__(self, capacity: int = 1024):
+        super().__init__(capacity, None)
+        self._entries: "OrderedDict[str, Any]" = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
@@ -300,26 +283,21 @@ class ResultCache(CacheBackend):
                 return MISS
         with self._lock:
             try:
-                entry = self._entries[key]
+                value = self._entries[key]
             except KeyError:
                 self.stats.misses += 1
                 return MISS
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return entry[1]
+            return value
 
     def peek(self, key: str) -> Any:
         """The cached value or :data:`MISS`; no stats, no recency."""
         with self._lock:
-            entry = self._entries.get(key)
-            return MISS if entry is None else entry[1]
+            return self._entries.get(key, MISS)
 
     def put(self, key: str, value: Any, persist: bool = True) -> None:
-        """Store ``value`` under ``key``, evicting the LRU entry if full.
-
-        ``persist=False`` keeps the entry out of :meth:`save` (for results
-        that cannot be represented in JSON).
-        """
+        """Store ``value`` under ``key``, evicting the LRU entry if full."""
         if self._plan is not None:
             try:
                 self._plan.fire("cache.put")
@@ -331,7 +309,7 @@ class ResultCache(CacheBackend):
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (persist, value)
+            self._entries[key] = value
             self.stats.puts += 1
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -341,6 +319,16 @@ class ResultCache(CacheBackend):
         """Drop every entry (statistics are preserved)."""
         with self._lock:
             self._entries.clear()
+
+    def save(self, path: Optional[str] = None) -> int:
+        """Always raises: an in-memory cache has no store file."""
+        raise EngineError("the in-memory cache has no store file; "
+                          "give the cache a path to persist results")
+
+    def load(self, path: Optional[str] = None) -> int:
+        """Always raises: stores are read by :class:`SqliteCache`."""
+        raise EngineError("the in-memory cache cannot load a store file; "
+                          "give the cache a path to reuse stored results")
 
     def hot_keys(self, limit: int = 64) -> List[str]:
         """Most recently used keys, hottest first."""
@@ -354,66 +342,23 @@ class ResultCache(CacheBackend):
             self._entries.move_to_end(key)
             return True
 
-    # ------------------------------------------------------------------
-    # Disk persistence
-    # ------------------------------------------------------------------
-    def save(self, path: Optional[str] = None) -> int:
-        """Write persistable entries to JSON; returns the entry count.
 
-        The write goes through a temporary file in the target directory
-        and an atomic rename, so a crash mid-save never corrupts an
-        existing cache file.
-        """
-        target = path or self.path
-        if target is None:
-            raise EngineError("no cache path configured for save()")
-        # Snapshot under the lock, write outside it: concurrent readers
-        # are never blocked on disk I/O.
-        with self._lock:
-            payload = {
-                "version": _PERSIST_VERSION,
-                "entries": {key: value
-                            for key, (persist, value)
-                            in self._entries.items()
-                            if persist},
-            }
-        directory = os.path.dirname(os.path.abspath(target))
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(temp_path, target)
-        except BaseException:
-            if os.path.exists(temp_path):
-                os.remove(temp_path)
-            raise
-        return len(payload["entries"])
+def _refuse_json_store(path: str) -> None:
+    """Raise :class:`EngineError` when ``path`` holds a JSON result store.
 
-    def load(self, path: Optional[str] = None) -> int:
-        """Merge entries from a JSON cache file; returns the count read."""
-        source = path or self.path
-        if source is None:
-            raise EngineError("no cache path configured for load()")
-        try:
-            with open(source) as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise EngineError(
-                f"cannot load cache file {source!r}: {exc}") from None
-        if not isinstance(payload, dict) \
-                or payload.get("version") != _PERSIST_VERSION:
-            raise EngineError(
-                f"unsupported cache file version "
-                f"{payload.get('version') if isinstance(payload, dict) else None!r} "
-                f"in {source!r}")
-        entries = payload.get("entries", {})
-        with self._lock:
-            for key, value in entries.items():
-                self.put(key, value, persist=True)
-            # Loading is bookkeeping, not workload; keep the stats clean.
-            self.stats.puts -= len(entries)
-        return len(entries)
+    Earlier versions persisted caches as one JSON object.  Such a file
+    is not a damaged sqlite store, so it is neither quarantined nor
+    overwritten: the caller decides what becomes of it."""
+    try:
+        with open(path, "rb") as handle:
+            head = handle.read(64).lstrip()
+    except OSError:
+        return
+    if head.startswith(b"{"):
+        raise EngineError(
+            f"cache file {path!r} holds a JSON result store, which is no "
+            f"longer read; remove it or choose another cache path (the "
+            f"results are recomputed into an sqlite store)")
 
 
 class SqliteCache(CacheBackend):
@@ -451,7 +396,8 @@ class SqliteCache(CacheBackend):
     readers proceed during a write); writes are serialized through one
     in-process lock, and across processes by sqlite's own locking.
     Entries stored with ``persist=False`` live in an in-memory LRU side
-    table, exactly as in the JSON backend.
+    table.  A file holding a JSON result store raises
+    :class:`EngineError` (see :func:`_refuse_json_store`).
     """
 
     name = "sqlite"
@@ -478,6 +424,7 @@ class SqliteCache(CacheBackend):
                  recency_resolution: float = 60.0):
         if not path:
             raise EngineError("the sqlite cache backend requires a path")
+        _refuse_json_store(path)
         super().__init__(capacity, path)
         if ttl is not None and ttl <= 0:
             raise EngineError(f"cache ttl must be > 0, got {ttl}")
@@ -882,10 +829,10 @@ class SqliteCache(CacheBackend):
     # ------------------------------------------------------------------
     def save(self, path: Optional[str] = None) -> int:
         """Checkpoint the WAL (or back up to ``path``); returns the
-        persistent entry count.  Unlike the JSON backend, every put is
-        already durable — save only compacts or copies.  In degraded
-        mode save is a no-op returning 0 (shutdown must never fail on
-        a cache that already failed)."""
+        persistent entry count.  Every put is already durable — save
+        only compacts or copies.  In degraded mode save is a no-op
+        returning 0 (shutdown must never fail on a cache that already
+        failed)."""
         target = path or self.path
         with self._lock:
             if self._degraded:
@@ -945,38 +892,24 @@ class SqliteCache(CacheBackend):
         return count
 
 
-#: Registered backend names (``"auto"`` resolves by path suffix).
-BACKENDS = ("auto", "json", "sqlite")
-
-
-def create_cache(backend: str = "auto", path: Optional[str] = None,
-                 capacity: int = 1024, ttl: Optional[float] = None,
+def create_cache(path: Optional[str] = None, capacity: int = 1024,
+                 ttl: Optional[float] = None,
                  max_bytes: Optional[int] = None) -> CacheBackend:
-    """Build a cache backend by name.
+    """The cache for ``path``: in memory without one, sqlite at any.
 
-    ``"auto"`` picks sqlite when the path carries an sqlite suffix
-    (:data:`SQLITE_SUFFIXES`) and the JSON/LRU fallback otherwise
-    (including the no-path, memory-only case).  TTL and byte budgets are
-    sqlite-only features; requesting them on the JSON backend is an
-    error rather than a silent no-op.
+    No path gives an in-memory :class:`ResultCache`; any path gives a
+    :class:`SqliteCache` store.
+
+    TTL and byte budgets bound a store file; asking for them without a
+    path is an error rather than a silent no-op.
     """
-    if backend not in BACKENDS:
-        raise EngineError(
-            f"unknown cache backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}")
-    if backend == "auto":
-        backend = "sqlite" if path is not None and \
-            path.lower().endswith(SQLITE_SUFFIXES) else "json"
-    if backend == "sqlite":
-        if path is None:
+    if path is None:
+        if ttl is not None or max_bytes is not None:
             raise EngineError(
-                "the sqlite cache backend requires a cache path")
-        return SqliteCache(path, capacity=capacity, ttl=ttl,
-                           max_bytes=max_bytes)
-    if ttl is not None or max_bytes is not None:
-        raise EngineError(
-            "ttl/max_bytes eviction requires the sqlite cache backend")
-    return ResultCache(capacity=capacity, path=path)
+                "ttl/max_bytes eviction needs a cache path")
+        return ResultCache(capacity=capacity)
+    return SqliteCache(path, capacity=capacity, ttl=ttl,
+                       max_bytes=max_bytes)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,6 @@ class EngineStats:
     cache: Dict[str, float] = field(default_factory=dict)
     coalesced: int = 0
     inflight: int = 0
-    cache_backend: str = "json"
     #: Module-cache and sifting counters from incremental sessions run
     #: through this engine (see ``repro.incremental.IncrementalStats``).
     incremental: Dict[str, int] = field(default_factory=dict)
@@ -131,14 +130,11 @@ class Engine:
     cache_capacity:
         Entry capacity of the engine-owned cache.
     cache_path:
-        Optional store file backing the cache across sessions (JSON for
-        the ``json`` backend, an sqlite database for ``sqlite``).
-    cache_backend:
-        ``"json"``, ``"sqlite"``, or ``"auto"`` (sqlite for
-        ``.db``/``.sqlite``/``.sqlite3`` paths, JSON otherwise); see
-        :func:`~repro.engine.cache.create_cache`.
+        Optional sqlite store file backing the cache across sessions;
+        without one the cache is an in-memory LRU (see
+        :func:`~repro.engine.cache.create_cache`).
     cache_ttl / cache_max_bytes:
-        Expiry and byte-budget eviction (sqlite backend only).
+        Expiry and byte-budget eviction of the store (need a path).
     warm_manifest:
         Optional manifest of hot fingerprints
         (:func:`~repro.engine.cache.write_manifest`) pre-warmed into
@@ -156,7 +152,6 @@ class Engine:
                  cache: Optional[CacheBackend] = None,
                  cache_capacity: int = 1024,
                  cache_path: Optional[str] = None,
-                 cache_backend: str = "auto",
                  cache_ttl: Optional[float] = None,
                  cache_max_bytes: Optional[int] = None,
                  warm_manifest: Optional[str] = None,
@@ -171,8 +166,7 @@ class Engine:
                     "pass either a cache object or a cache_path, not both")
             self.cache = cache
         else:
-            self.cache = create_cache(backend=cache_backend,
-                                      path=cache_path,
+            self.cache = create_cache(path=cache_path,
                                       capacity=cache_capacity,
                                       ttl=cache_ttl,
                                       max_bytes=cache_max_bytes)
@@ -369,7 +363,6 @@ class Engine:
                                cache=cache_stats.as_dict(),
                                coalesced=self.coalesced,
                                inflight=len(self._inflight),
-                               cache_backend=self.cache.name,
                                incremental=self.incremental.as_dict(),
                                degraded=cache_stats.degraded,
                                retries=cache_stats.retries

@@ -25,6 +25,7 @@ for the JSON-persistable cache.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -46,6 +47,7 @@ from repro.engine.pool import (
     WorkerPool,
     chunk_indices,
     derive_seed,
+    quantify_points,
     run_monte_carlo_shard,
     run_quantify_chunk,
     run_uq_chunk,
@@ -53,6 +55,7 @@ from repro.engine.pool import (
 from repro.errors import EngineError
 from repro.fta.constraints import ConstraintPolicy
 from repro.fta.cutsets import CutSetCollection, mocus
+from repro.fta.events import Condition, PrimaryFailure
 from repro.fta.quantify import hazard_probability
 from repro.fta.tree import FaultTree
 from repro.sim.montecarlo import MonteCarloEstimate
@@ -88,17 +91,43 @@ def _check_policy(policy: ConstraintPolicy) -> ConstraintPolicy:
     return policy
 
 
-def _check_probabilities(probabilities: Optional[Mapping[str, float]]
+def _check_probabilities(tree: FaultTree,
+                         probabilities: Optional[Mapping[str, float]]
                          ) -> Optional[Dict[str, float]]:
+    """Validate leaf overrides: a mapping from the names of ``tree``'s
+    primary failures and conditions to numbers in [0, 1].
+
+    A name that matches no such event is an error, with close matches
+    as a hint — a misspelled override must not quietly leave the
+    default in place."""
     if probabilities is None:
         return None
+    if not isinstance(probabilities, Mapping):
+        raise EngineError(
+            f"probabilities must map event names to numbers, "
+            f"got {type(probabilities).__name__}")
+    leaves = {event.name for event in tree.iter_events()
+              if isinstance(event, (PrimaryFailure, Condition))}
     checked: Dict[str, float] = {}
     for name, value in probabilities.items():
+        name = str(name)
+        if name not in leaves:
+            import difflib
+            hint = difflib.get_close_matches(name, sorted(leaves), n=3)
+            raise EngineError(
+                f"probability given for {name!r}, which names no primary "
+                f"failure or condition of tree {tree.name!r}"
+                + (f"; did you mean {', '.join(map(repr, hint))}?"
+                   if hint else ""))
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise EngineError(
+                f"probability of {name!r} must be a number, "
+                f"got {value!r}")
         value = float(value)
         if not 0.0 <= value <= 1.0:
             raise EngineError(
                 f"probability of {name!r} must be in [0, 1], got {value}")
-        checked[str(name)] = value
+        checked[name] = value
     return checked
 
 
@@ -162,7 +191,7 @@ class QuantifyJob(Job):
                  method: str = "rare_event",
                  policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT):
         self.tree = _check_tree(tree)
-        self.probabilities = _check_probabilities(probabilities)
+        self.probabilities = _check_probabilities(tree, probabilities)
         self.method = _check_method(method)
         self.policy = _check_policy(policy)
 
@@ -202,7 +231,7 @@ class IncrementalJob(Job):
                  sift_threshold: Optional[int] = None):
         from repro.incremental import validate_edits
         self.tree = _check_tree(tree)
-        self.probabilities = _check_probabilities(probabilities)
+        self.probabilities = _check_probabilities(tree, probabilities)
         self.edits = tuple(validate_edits(list(edits or [])))
         if sift_threshold is not None:
             if not isinstance(sift_threshold, int) \
@@ -289,16 +318,12 @@ class SweepJob(Job):
                  method: str = "rare_event",
                  policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
                  probabilities: Optional[Mapping[str, float]] = None,
-                 chunks: Optional[int] = None,
-                 compiled: bool = True):
+                 chunks: Optional[int] = None):
         self.tree = _check_tree(tree)
         self.method = _check_method(method)
         self.policy = _check_policy(policy)
-        # Evaluate the grid through repro.compile (bit-identical to the
-        # per-point path, so the flag is not part of the fingerprint).
-        self.compiled = bool(compiled)
         # Fixed leaf overrides applied at every point (assignments win).
-        self.probabilities = _check_probabilities(probabilities)
+        self.probabilities = _check_probabilities(tree, probabilities)
         if not assignments:
             raise EngineError("sweep needs at least one leaf assignment")
         self.assignments: Dict[str, ParametricProbability] = {}
@@ -330,13 +355,11 @@ class SweepJob(Job):
                   method: str = "rare_event",
                   policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
                   probabilities: Optional[Mapping[str, float]] = None,
-                  chunks: Optional[int] = None,
-                  compiled: bool = True) -> "SweepJob":
+                  chunks: Optional[int] = None) -> "SweepJob":
         """Build the grid as the cartesian product of per-axis values."""
         return cls(tree, assignments, grid_points(axes),
                    method=method, policy=policy,
-                   probabilities=probabilities, chunks=chunks,
-                   compiled=compiled)
+                   probabilities=probabilities, chunks=chunks)
 
     def _fingerprint_parts(self) -> Tuple[str, ...]:
         assignments = ";".join(
@@ -364,25 +387,10 @@ class SweepJob(Job):
         return SweepResult(points=tuple(dict(p) for p in self.grid),
                            values=tuple(values))
 
-    def _use_compiled(self) -> bool:
-        from repro.compile import supports_compilation
-        return self.compiled and supports_compilation(self.tree,
-                                                      self.method)
-
     def run_serial(self) -> SweepResult:
-        cut_sets = _shared_cut_sets(self.tree, self.method)
-        if self._use_compiled():
-            from repro.compile import compile_tree
-            evaluator = compile_tree(self.tree, self.method, self.policy,
-                                     cut_sets=cut_sets)
-            values = [float(v)
-                      for v in evaluator.evaluate(self._overrides())]
-            return self._result(values)
-        values = [hazard_probability(self.tree, overrides,
-                                     method=self.method, policy=self.policy,
-                                     cut_sets=cut_sets)
-                  for overrides in self._overrides()]
-        return self._result(values)
+        return self._result(quantify_points(
+            self.tree, _shared_cut_sets(self.tree, self.method),
+            self.method, self.policy, self._overrides()))
 
     def run(self, pool: WorkerPool) -> SweepResult:
         if not pool.is_parallel or len(self.grid) == 1:
@@ -395,8 +403,7 @@ class SweepJob(Job):
         for start, stop in chunk_indices(len(overrides), chunks):
             chunk = [(i, overrides[i]) for i in range(start, stop)]
             payloads.append(
-                (self.tree, cut_sets, self.method, self.policy, chunk,
-                 self.compiled))
+                (self.tree, cut_sets, self.method, self.policy, chunk))
         values: List[float] = [0.0] * len(overrides)
         for partial in pool.map(run_quantify_chunk, payloads):
             for index, value in partial:
@@ -438,7 +445,7 @@ class MonteCarloJob(Job):
                  samples: int = 100_000, seed: int = 0,
                  confidence: float = 0.95, shards: int = 1):
         self.tree = _check_tree(tree)
-        self.probabilities = _check_probabilities(probabilities)
+        self.probabilities = _check_probabilities(tree, probabilities)
         if samples <= 0:
             raise EngineError(f"samples must be > 0, got {samples}")
         if shards < 1:
@@ -545,8 +552,8 @@ class UncertaintyJob(Job):
         self.sampler = sampler
         if chunks is not None and chunks < 1:
             raise EngineError(f"chunks must be >= 1, got {chunks}")
-        # Like SweepJob.chunks/compiled: an execution detail, results
-        # are bit-identical regardless — deliberately not fingerprinted.
+        # Like SweepJob.chunks: an execution detail, results are
+        # bit-identical regardless — deliberately not fingerprinted.
         self.chunks = chunks
 
     def _fingerprint_parts(self) -> Tuple[str, ...]:

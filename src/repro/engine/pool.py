@@ -262,34 +262,44 @@ def _run_shard(fn: Callable[[Any], Any], payload: Any,
     return fn(payload)
 
 
+def quantify_points(tree, cut_sets, method: str, policy,
+                    points: Sequence[Any]) -> List[float]:
+    """Hazard probabilities of ``tree`` at each override dict in
+    ``points`` — the one route every sweep takes.
+
+    Where :func:`~repro.compile.supports_compilation` accepts the
+    tree/method pair the points run as one :mod:`repro.compile` batch,
+    bit-identical to per-point quantification.  The rest
+    (``inclusion_exclusion``, cut-set methods on non-coherent trees)
+    fall back to per-point :func:`hazard_probability`, which fails there
+    with its own diagnostics.
+    """
+    from repro.compile import compile_tree, supports_compilation
+    if supports_compilation(tree, method):
+        evaluator = compile_tree(tree, method, policy, cut_sets=cut_sets)
+        return [float(value) for value in evaluator.evaluate(points)]
+    return [hazard_probability(tree, overrides, method=method,
+                               policy=policy, cut_sets=cut_sets)
+            for overrides in points]
+
+
 def run_quantify_chunk(payload: Tuple) -> List[Tuple[int, float]]:
     """Quantify one chunk of a parametric sweep.
 
-    ``payload`` is ``(tree, cut_sets, method, policy, chunk)`` — with an
-    optional trailing ``compiled`` flag — where ``chunk`` is a list of
-    ``(index, overrides)`` pairs; returns ``(index, probability)`` pairs
-    so the parent can reassemble the grid in order.  With ``compiled``
-    the chunk is evaluated as one :mod:`repro.compile` batch,
-    bit-identical to the per-point path.  Each payload ships (and
-    unpickles) its own tree copy, so the compile memo cannot hit across
-    chunks: compilation happens once per *chunk* — amortized over the
-    chunk's points, still far cheaper than the per-point walk.
+    ``payload`` is ``(tree, cut_sets, method, policy, chunk)`` where
+    ``chunk`` is a list of ``(index, overrides)`` pairs; returns
+    ``(index, probability)`` pairs so the parent can reassemble the grid
+    in order.  The chunk runs through :func:`quantify_points`.  Each
+    payload ships (and unpickles) its own tree copy, so the compile memo
+    cannot hit across chunks: compilation happens once per *chunk* —
+    amortized over the chunk's points, still far cheaper than the
+    per-point walk.
     """
-    tree, cut_sets, method, policy, chunk = payload[:5]
-    compiled = payload[5] if len(payload) > 5 else False
-    if compiled and chunk:
-        from repro.compile import compile_tree, supports_compilation
-        if supports_compilation(tree, method):
-            evaluator = compile_tree(tree, method, policy,
-                                     cut_sets=cut_sets)
-            values = evaluator.evaluate(
-                [overrides for _index, overrides in chunk])
-            return [(index, float(value))
-                    for (index, _o), value in zip(chunk, values)]
-    return [(index,
-             hazard_probability(tree, overrides, method=method,
-                                policy=policy, cut_sets=cut_sets))
-            for index, overrides in chunk]
+    tree, cut_sets, method, policy, chunk = payload
+    values = quantify_points(tree, cut_sets, method, policy,
+                             [overrides for _index, overrides in chunk])
+    return [(index, value)
+            for (index, _overrides), value in zip(chunk, values)]
 
 
 def run_monte_carlo_shard(payload: Tuple) -> Tuple[int, int]:

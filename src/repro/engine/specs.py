@@ -23,6 +23,7 @@ clients cannot read server-side paths).
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Dict, List, Optional
 
 from repro.engine.engine import RunOutcome
@@ -72,8 +73,47 @@ def tree_from_spec(spec: Any, allow_files: bool = True):
     raise EngineError(f"cannot interpret tree spec {spec!r}")
 
 
-def job_from_spec(spec: Any, compiled: bool = True,
-                  allow_files: bool = True) -> Job:
+def _integer(spec: Dict[str, Any], field: str,
+             default: Optional[int]) -> Optional[int]:
+    """An integer job field; booleans, floats and strings are refused
+    (``int(1.5)`` would quietly run one sample).  ``null`` is accepted
+    only where the field's default is ``None``."""
+    value = spec.get(field, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise EngineError(
+            f"job field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _number(spec: Dict[str, Any], field: str, default: float) -> float:
+    """A real-valued job field (an int or a float, not a bool)."""
+    value = spec.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise EngineError(
+            f"job field {field!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _axes(spec: Dict[str, Any]) -> Dict[str, List[float]]:
+    """A sweep's ``axes``: leaf name -> non-empty list of numbers."""
+    axes = spec.get("axes")
+    if not isinstance(axes, dict) or not axes:
+        raise EngineError(
+            "sweep jobs need a non-empty 'axes' mapping of leaf names "
+            "to value lists")
+    for leaf, values in axes.items():
+        if not isinstance(values, list) or not values or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real)
+                for v in values):
+            raise EngineError(
+                f"sweep axis {leaf!r} must be a non-empty list of "
+                f"numbers, got {values!r}")
+    return axes
+
+
+def job_from_spec(spec: Any, allow_files: bool = True) -> Job:
     """Build one engine job from its JSON description."""
     from repro.core.parametric import identity
     from repro.fta import ConstraintPolicy
@@ -94,43 +134,30 @@ def job_from_spec(spec: Any, compiled: bool = True,
             f"unknown policy {spec.get('policy')!r}; expected one of "
             f"{[p.value for p in ConstraintPolicy]}") from None
     method = spec.get("method", "rare_event")
-
-    def number(field, default, convert):
-        try:
-            return convert(spec.get(field, default))
-        except (TypeError, ValueError):
-            raise EngineError(
-                f"job field {field!r} must be a number, "
-                f"got {spec.get(field)!r}") from None
     if kind == "quantify":
         return QuantifyJob(tree, spec.get("probabilities"),
                            method=method, policy=policy)
     if kind == "incremental":
-        sift = spec.get("sift_threshold")
-        if sift is not None:
-            sift = number("sift_threshold", None, int)
         return IncrementalJob(tree, spec.get("probabilities"),
                               edits=spec.get("edits"),
-                              sift_threshold=sift)
+                              sift_threshold=_integer(
+                                  spec, "sift_threshold", None))
     if kind == "sweep":
-        axes = spec.get("axes")
-        if not axes:
-            raise EngineError("sweep jobs need a non-empty 'axes' mapping")
+        axes = _axes(spec)
         # Each axis sweeps one leaf's probability directly; fixed
         # 'probabilities' cover the leaves that are not swept.
         assignments = {leaf: identity(leaf) for leaf in axes}
         return SweepJob.from_axes(tree, assignments, axes,
                                   method=method, policy=policy,
-                                  probabilities=spec.get("probabilities"),
-                                  compiled=compiled)
+                                  probabilities=spec.get("probabilities"))
     return MonteCarloJob(tree, spec.get("probabilities"),
-                         samples=number("samples", 100_000, int),
-                         seed=number("seed", 0, int),
-                         confidence=number("confidence", 0.95, float),
-                         shards=number("shards", 1, int))
+                         samples=_integer(spec, "samples", 100_000),
+                         seed=_integer(spec, "seed", 0),
+                         confidence=_number(spec, "confidence", 0.95),
+                         shards=_integer(spec, "shards", 1))
 
 
-def jobs_from_payload(payload: Any, compiled: bool = True,
+def jobs_from_payload(payload: Any,
                       allow_files: bool = True) -> List[Job]:
     """Build the job list of one batch request.
 
@@ -149,8 +176,8 @@ def jobs_from_payload(payload: Any, compiled: bool = True,
         raise EngineError(
             "job payload must be a non-empty list of jobs (or an "
             "object with a 'jobs' list)")
-    return [job_from_spec(spec, compiled=compiled,
-                          allow_files=allow_files) for spec in specs]
+    return [job_from_spec(spec, allow_files=allow_files)
+            for spec in specs]
 
 
 def result_envelope(job: Job, outcome: RunOutcome,

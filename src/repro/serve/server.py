@@ -36,7 +36,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engine import Engine, jobs_from_payload, result_envelope
-from repro.errors import EngineError, ReproError, ServeError
+from repro.errors import ReproError, ServeError
 from repro.resilience import FaultPlan
 from repro.serve.registry import JobRegistry
 
@@ -55,7 +55,6 @@ class ServerConfig:
     port: int = 8080
     workers: int = 1
     cache_path: Optional[str] = None
-    cache_backend: str = "auto"
     cache_capacity: int = 4096
     cache_ttl: Optional[float] = None
     cache_max_bytes: Optional[int] = None
@@ -101,7 +100,6 @@ class RiskServer:
         self.engine = engine if engine is not None else Engine(
             workers=self.config.workers,
             cache_path=self.config.cache_path,
-            cache_backend=self.config.cache_backend,
             cache_capacity=self.config.cache_capacity,
             cache_ttl=self.config.cache_ttl,
             cache_max_bytes=self.config.cache_max_bytes,
@@ -119,6 +117,10 @@ class RiskServer:
         self._active = 0
         self._draining = False
         self._shut_down = False
+        #: Whether a serve loop was entered (through :meth:`start` or
+        #: :meth:`serve_forever`); a server that never served must not
+        #: wait for its loop to stop.
+        self._serving = False
         self._state = threading.Condition()
         self._slots = threading.Semaphore(self.config.max_concurrency)
         self._thread: Optional[threading.Thread] = None
@@ -148,6 +150,10 @@ class RiskServer:
         """Serve in a daemon thread; returns self (for chaining)."""
         if self._thread is not None:
             raise ServeError("server already started")
+        with self._state:
+            if self._shut_down:
+                raise ServeError("server already shut down")
+            self._serving = True
         self._thread = threading.Thread(target=self._httpd.serve_forever,
                                         name="repro-serve",
                                         daemon=True)
@@ -156,7 +162,12 @@ class RiskServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
+        """Serve on the calling thread until :meth:`shutdown` (returns
+        at once when shutdown already ran)."""
+        with self._state:
+            if self._shut_down:
+                return
+            self._serving = True
         log.info("serving on %s", self.url)
         self._httpd.serve_forever()
 
@@ -192,12 +203,16 @@ class RiskServer:
                 # finished the teardown while this call drained.
                 return
             self._shut_down = True
+            serving = self._serving
         # Persist before releasing serve_forever: when shutdown runs on
         # a daemon thread (POST /shutdown), the process may exit the
         # moment serve_forever returns.
         if self.config.cache_path:
             self.engine.save_cache()
-        self._httpd.shutdown()
+        if serving:
+            # Waits for the serve loop to stop; a loop that was never
+            # entered would never signal it.
+            self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -481,13 +496,15 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(400, f"invalid JSON body: {exc}")
             return
         # Validate before admission: malformed requests must not
-        # consume queue slots (and must 400, not stream).  Any
-        # domain-level rejection counts — a bad tree spec raises
-        # SerializationError, not EngineError, and either is the
-        # client's fault, never a connection-killing 500.
+        # consume queue slots (and must 400, not stream).  Any failure
+        # while the jobs are built counts — the body is the client's
+        # input, and an exception that escaped the typed checks must
+        # still answer rather than drop the connection.
         try:
             jobs = jobs_from_payload(payload, allow_files=False)
-        except ReproError as exc:
+        except Exception as exc:
+            if not isinstance(exc, ReproError):
+                log.exception("unexpected failure while building jobs")
             self._send_error_json(400, str(exc))
             return
         if not self.risk.try_admit():
@@ -542,12 +559,16 @@ def serve(config: Optional[ServerConfig] = None,
           engine: Optional[Engine] = None) -> None:
     """Build a :class:`RiskServer` and serve until interrupted.
 
-    SIGTERM and SIGINT trigger the same draining shutdown the
-    ``POST /shutdown`` endpoint runs: reject new work, finish
-    in-flight requests, persist the cache, close the socket.
+    Prints one ``serving on http://HOST:PORT`` line (with the bound
+    port) to stdout before serving.  SIGTERM and SIGINT trigger the same
+    draining shutdown the ``POST /shutdown`` endpoint runs: reject new
+    work, finish in-flight requests, persist the cache, close the
+    socket.
     """
     server = RiskServer(config, engine=engine)
     server.install_signal_handlers()
+    # The one line a supervisor reads to learn the bound port (--port 0).
+    print(f"serving on {server.url}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive only

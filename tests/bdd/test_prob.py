@@ -96,56 +96,6 @@ class TestConditional:
         assert birnbaum == pytest.approx(0.3)
 
 
-class TestBatch:
-    def test_matches_scalar_bit_identically(self):
-        import numpy as np
-
-        from repro.bdd import probability_batch
-        mgr = BDDManager()
-        x, y, z = mgr.var("x"), mgr.var("y"), mgr.var("z")
-        f = mgr.apply_or(mgr.apply_and(x, y), z)
-        matrix = np.array([[0.1, 0.2, 0.3],
-                           [0.5, 0.5, 0.5],
-                           [0.0, 1.0, 0.25]])
-        batch = probability_batch(mgr, f, matrix)
-        for row, expected in zip(matrix, batch):
-            probs = dict(zip(["x", "y", "z"], row))
-            assert probability(mgr, f, probs) == expected  # bit-identical
-
-    def test_terminal_roots(self):
-        import numpy as np
-
-        from repro.bdd import probability_batch
-        mgr = BDDManager()
-        mgr.add_var("x")
-        matrix = np.array([[0.5], [0.25]])
-        assert probability_batch(mgr, TRUE, matrix).tolist() == [1.0, 1.0]
-        assert probability_batch(mgr, FALSE, matrix).tolist() == [0.0, 0.0]
-
-    def test_shape_and_range_validation(self):
-        import numpy as np
-
-        from repro.bdd import probability_batch
-        mgr = BDDManager()
-        x = mgr.var("x")
-        with pytest.raises(BDDError):
-            probability_batch(mgr, x, np.array([0.5]))  # 1-D
-        with pytest.raises(BDDError):
-            probability_batch(mgr, x, np.array([[0.5, 0.5]]))  # 2 cols
-        with pytest.raises(BDDError):
-            probability_batch(mgr, x, np.array([[1.5]]))  # out of range
-
-    def test_ignores_irrelevant_columns(self):
-        import numpy as np
-
-        from repro.bdd import probability_batch
-        mgr = BDDManager()
-        x = mgr.var("x")
-        mgr.add_var("unused")
-        matrix = np.array([[0.25, 7.0]])  # junk in unused column is fine
-        assert probability_batch(mgr, x, matrix).tolist() == [0.25]
-
-
 class TestAgainstEnumeration:
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
            st.integers(0, 10_000))

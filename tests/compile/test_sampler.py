@@ -94,6 +94,21 @@ class TestCounts:
         blocked = CompiledSampler(tree).counts(samples=700, seed=3)
         assert blocked == whole
 
+    @pytest.mark.parametrize("make_tree", [mixed_tree, kofn_tree])
+    def test_counts_identical_across_block_sizes(self, make_tree,
+                                                 monkeypatch):
+        import repro.compile.sampler as sampler_module
+        sampler = CompiledSampler(make_tree())
+        assert sampler.packable == (make_tree is mixed_tree)
+        # Not a multiple of any block size below: every run ends on a
+        # partial block.
+        samples = 3 * sampler_module._BLOCK + 1001
+        counts = set()
+        for block in (1 << 16, sampler_module._BLOCK, 1000, 7):
+            monkeypatch.setattr(sampler_module, "_BLOCK", block)
+            counts.add(sampler.counts(samples=samples, seed=11))
+        assert len(counts) == 1
+
     def test_packed_and_boolean_paths_agree(self):
         tree = mixed_tree()
         sampler = CompiledSampler(tree)

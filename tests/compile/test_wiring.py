@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from repro.compile import compile_tree
+from repro.compile import compile_tree, supports_compilation
 from repro.core import FaultTreeHazard, identity
 from repro.core.parametric import exceedance
 from repro.engine import SweepJob, WorkerPool
 from repro.engine.pool import run_quantify_chunk
 from repro.fta.constraints import ConstraintPolicy
 from repro.fta.cutsets import mocus
-from repro.fta.dsl import AND, OR, hazard, primary
+from repro.fta.dsl import AND, hazard, primary
 from repro.fta.quantify import hazard_probability
 from repro.fta.tree import FaultTree
 from repro.stats.distributions import TruncatedNormal
@@ -25,79 +25,101 @@ def small_tree():
         primary("C", 0.01)]))
 
 
-def sweep_job(compiled, method="rare_event", chunks=None):
+def sweep_job(method="rare_event", chunks=None):
     values = [0.05 * i for i in range(1, 8)]
     return SweepJob.from_axes(
         small_tree(), {"A": identity("pA"), "B": identity("pB")},
-        {"pA": values, "pB": values}, method=method,
-        compiled=compiled, chunks=chunks)
+        {"pA": values, "pB": values}, method=method, chunks=chunks)
+
+
+def pointwise(job):
+    """The reference: per-point interpreted quantification of a sweep."""
+    return tuple(hazard_probability(job.tree,
+                                    {"A": point["pA"], "B": point["pB"]},
+                                    job.method)
+                 for point in job.grid)
 
 
 class TestSweepJob:
     @pytest.mark.parametrize("method", ["rare_event", "mcub", "exact"])
     def test_compiled_matches_interpreted(self, method):
-        compiled = sweep_job(True, method).run_serial()
-        interpreted = sweep_job(False, method).run_serial()
-        assert compiled == interpreted
-        assert all(isinstance(v, float) for v in compiled.values)
+        job = sweep_job(method)
+        assert supports_compilation(job.tree, method)
+        result = job.run_serial()
+        assert result.values == pointwise(job)
+        assert all(isinstance(v, float) for v in result.values)
 
-    def test_compiled_flag_does_not_change_fingerprint(self):
-        assert sweep_job(True).fingerprint() == \
-            sweep_job(False).fingerprint()
+    def test_fingerprint_matches_earlier_stores(self):
+        # Pinned: the sweep route never entered the fingerprint, and
+        # sqlite stores written before it became the only route must
+        # stay warm.
+        assert sweep_job().fingerprint() == (
+            "7215133b8ebf23d6a6036ae7eb87f37f"
+            "fda317b07cd56c17fa468f404f0a1584")
+        assert sweep_job("exact").fingerprint() == (
+            "387fd87462a903d4af3428102dbc630b"
+            "d18caaff058b918bda67623f407fb523")
 
     def test_parallel_matches_serial(self):
-        job = sweep_job(True, "exact", chunks=3)
+        job = sweep_job("exact", chunks=3)
         assert job.run(WorkerPool(2)) == job.run_serial()
 
+    @pytest.mark.parametrize("method", ["rare_event", "mcub", "exact"])
+    def test_parallel_matches_pointwise(self, method):
+        job = sweep_job(method, chunks=3)
+        assert job.run(WorkerPool(2)).values == pointwise(job)
+
     def test_inclusion_exclusion_falls_back(self):
-        job = sweep_job(True, "inclusion_exclusion")
-        reference = sweep_job(False, "inclusion_exclusion")
-        assert job.run_serial() == reference.run_serial()
+        job = sweep_job("inclusion_exclusion")
+        assert not supports_compilation(job.tree, job.method)
+        assert job.run_serial().values == pointwise(job)
+        assert job.run(WorkerPool(2)).values == pointwise(job)
 
     def test_json_round_trip_of_compiled_values(self):
-        result = sweep_job(True, "exact").run_serial()
+        result = sweep_job("exact").run_serial()
         encoded = json.loads(json.dumps(SweepJob.encode_result(result)))
         assert SweepJob.decode_result(encoded) == result
 
 
 class TestQuantifyChunk:
-    def test_legacy_five_tuple_payload_still_works(self):
+    def test_chunk_matches_pointwise(self):
         tree = small_tree()
         cut_sets = mocus(tree)
         chunk = [(0, {"A": 0.3}), (1, {"B": 0.4})]
-        legacy = run_quantify_chunk(
+        result = run_quantify_chunk(
             (tree, cut_sets, "rare_event",
              ConstraintPolicy.INDEPENDENT, chunk))
-        compiled = run_quantify_chunk(
-            (tree, cut_sets, "rare_event",
-             ConstraintPolicy.INDEPENDENT, chunk, True))
-        assert legacy == compiled
+        assert result == [(index, hazard_probability(tree, overrides))
+                          for index, overrides in chunk]
 
     def test_compiled_chunk_exact(self):
         tree = small_tree()
         chunk = [(i, {"A": 0.1 * (i + 1)}) for i in range(4)]
         result = run_quantify_chunk(
-            (tree, None, "exact", ConstraintPolicy.INDEPENDENT, chunk,
-             True))
+            (tree, None, "exact", ConstraintPolicy.INDEPENDENT, chunk))
         for (index, overrides), (out_index, value) in zip(chunk, result):
             assert out_index == index
             assert value == hazard_probability(tree, overrides, "exact")
 
 
 class TestFaultTreeHazard:
-    def hazard_model(self, method="rare_event", compiled=True):
-        return FaultTreeHazard(
-            small_tree(),
-            {"A": exceedance(TruncatedNormal(4.0, 2.0), "T")},
-            method=method, compiled=compiled)
+    leak = exceedance(TruncatedNormal(4.0, 2.0), "T")
+
+    def hazard_model(self, method="rare_event"):
+        return FaultTreeHazard(small_tree(), {"A": self.leak},
+                               method=method)
+
+    def reference(self, model, point):
+        return hazard_probability(model.tree, {"A": self.leak(point)},
+                                  model.method)
 
     @pytest.mark.parametrize("method", ["rare_event", "mcub", "exact"])
     def test_compiled_probability_matches_interpreted(self, method):
-        compiled = self.hazard_model(method)
-        interpreted = self.hazard_model(method, compiled=False)
+        model = self.hazard_model(method)
         for t in (1.0, 3.5, 7.0):
-            assert compiled.probability({"T": t}) == \
-                interpreted.probability({"T": t})
+            assert model.probability({"T": t}) == \
+                self.reference(model, {"T": t})
+        assert model._evaluator is not None
 
     def test_evaluator_is_reused_across_calls(self):
         model = self.hazard_model("exact")
@@ -114,12 +136,11 @@ class TestFaultTreeHazard:
 
     def test_unsupported_method_falls_back(self):
         model = self.hazard_model("inclusion_exclusion")
-        reference = self.hazard_model("inclusion_exclusion",
-                                      compiled=False)
         point = {"T": 3.0}
-        assert model.probability(point) == reference.probability(point)
+        assert model.probability(point) == self.reference(model, point)
         assert model.probability_batch([point]) == \
-            [reference.probability(point)]
+            [self.reference(model, point)]
+        assert model._evaluator is None
 
     def test_probability_grid_uses_compiled_sweep(self):
         model = self.hazard_model("exact")
@@ -181,27 +202,19 @@ class TestCompileCache:
 
 
 class TestCli:
-    def run_cli(self, tmp_path, capsys, *flags):
-        from repro.cli import main
-        jobs = {"jobs": [{"type": "sweep", "tree": "collision",
-                          "axes": {"OT1": [0.01, 0.02, 0.03],
-                                   "OT2": [0.01, 0.02]},
-                          "probabilities": {"Other collision causes":
-                                            0.001}}]}
-        path = tmp_path / "jobs.json"
-        path.write_text(json.dumps(jobs))
-        assert main(["batch", str(path), "--json", *flags]) == 0
-        return json.loads(capsys.readouterr().out)
-
     def test_compiled_and_interpreted_cli_results_agree(self, tmp_path,
                                                         capsys):
-        compiled = self.run_cli(tmp_path, capsys, "--compiled")
-        interpreted = self.run_cli(tmp_path, capsys, "--no-compiled")
-
-        def stable(payload):
-            # The result envelope reports measured wall time per job;
-            # everything else must be bit-identical across paths.
-            return [{k: v for k, v in entry.items()
-                     if k != "wall_time_s"}
-                    for entry in payload["results"]]
-        assert stable(compiled) == stable(interpreted)
+        from repro.cli import main
+        from repro.elbtunnel import collision_fault_tree
+        axes = {"OT1": [0.01, 0.02, 0.03], "OT2": [0.01, 0.02]}
+        fixed = {"Other collision causes": 0.001}
+        jobs = {"jobs": [{"type": "sweep", "tree": "collision",
+                          "axes": axes, "probabilities": fixed}]}
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(jobs))
+        assert main(["batch", str(path), "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["results"][0]
+        tree = collision_fault_tree()
+        expected = [hazard_probability(tree, {**fixed, **point})
+                    for point in result["result"]["points"]]
+        assert result["result"]["values"] == expected

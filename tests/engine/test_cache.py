@@ -1,12 +1,9 @@
-"""Result cache: LRU behaviour, statistics, JSON persistence."""
-
-import json
-import os
+"""Result cache: LRU behaviour, statistics, the store behind a path."""
 
 import pytest
 
 from repro.engine import ResultCache
-from repro.engine.cache import MISS
+from repro.engine.cache import MISS, create_cache
 from repro.errors import EngineError
 
 
@@ -59,82 +56,73 @@ class TestLRU:
         assert cache.stats.hits == 1
 
 
+class TestNoStore:
+    def test_memory_cache_has_no_path(self):
+        cache = ResultCache(capacity=2)
+        assert cache.name == "memory"
+        assert cache.path is None
+        assert cache.info()["backend"] == "memory"
+
+    def test_save_and_load_raise(self, tmp_path):
+        cache = ResultCache(capacity=2)
+        cache.put("k", 1.0)
+        with pytest.raises(EngineError):
+            cache.save()
+        with pytest.raises(EngineError):
+            cache.save(str(tmp_path / "c.db"))
+        with pytest.raises(EngineError):
+            cache.load(str(tmp_path / "c.db"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_memory_only_flag_is_accepted(self):
+        cache = ResultCache(capacity=2)
+        marker = object()
+        cache.put("k", marker, persist=False)
+        assert cache.get("k") is marker
+
+
 class TestPersistence:
+    """Any cache path opens the persistent store; entries outlive it."""
+
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=8, path=path)
+        path = str(tmp_path / "cache.db")
+        cache = create_cache(path=path, capacity=8)
         cache.put("a", 0.125)
         cache.put("b", {"points": [{"x": 1.0}], "values": [0.5]})
         assert cache.save() == 2
+        cache.close()
 
-        loaded = ResultCache(capacity=8, path=path)
+        loaded = create_cache(path=path, capacity=8)
         assert loaded.get("a") == 0.125
         assert loaded.get("b") == {"points": [{"x": 1.0}],
                                    "values": [0.5]}
+        loaded.close()
 
     def test_non_persistable_entries_stay_in_memory(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=8, path=path)
-        cache.put("mem", object(), persist=False)
+        path = str(tmp_path / "cache.db")
+        cache = create_cache(path=path, capacity=8)
+        marker = object()
+        cache.put("mem", marker, persist=False)
         cache.put("disk", 1.0)
+        assert cache.get("mem") is marker
         assert cache.save() == 1
-        loaded = ResultCache(capacity=8, path=path)
+        cache.close()
+        loaded = create_cache(path=path, capacity=8)
         assert loaded.get("mem") is MISS
         assert loaded.get("disk") == 1.0
-
-    def test_save_without_path_raises(self):
-        with pytest.raises(EngineError):
-            ResultCache(capacity=2).save()
-
-    def test_explicit_load_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        with pytest.raises(EngineError):
-            ResultCache(capacity=2).load(str(path))
+        loaded.close()
 
     def test_constructor_quarantines_corrupt_file(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        cache = ResultCache(capacity=2, path=str(path))
+        path = tmp_path / "cache.db"
+        path.write_bytes(b"\x13not an sqlite store")
+        cache = create_cache(path=str(path), capacity=2)
         assert len(cache) == 0
         assert cache.get("anything") is MISS
-        assert (tmp_path / "cache.json.corrupt").exists()
-        # The store is usable again: a save-and-reload round trips.
+        assert (tmp_path / "cache.db.corrupt").exists()
+        # The store is usable again: a save-and-reopen round trips.
         cache.put("k", 1.0)
         cache.save()
-        assert ResultCache(capacity=2, path=str(path)).get("k") == 1.0
-
-    def test_explicit_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(EngineError):
-            ResultCache(capacity=2).load(str(path))
-
-    def test_constructor_quarantines_unknown_version(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        cache = ResultCache(capacity=2, path=str(path))
-        assert len(cache) == 0
-        assert (tmp_path / "cache.json.corrupt").exists()
-
-    def test_save_is_atomic(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=2, path=path)
-        cache.put("a", 1.0)
-        cache.save()
-        cache.put("b", 2.0)
-        cache.save()
-        leftovers = [f for f in os.listdir(tmp_path)
-                     if f.endswith(".tmp")]
-        assert leftovers == []
-        assert set(ResultCache(capacity=4, path=path)._entries) == \
-            {"a", "b"}
-
-    def test_loading_does_not_count_as_workload(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=8, path=path)
-        cache.put("a", 1.0)
-        cache.save()
-        loaded = ResultCache(capacity=8, path=path)
-        assert loaded.stats.puts == 0
-        assert loaded.stats.lookups == 0
+        cache.close()
+        reopened = create_cache(path=str(path), capacity=2)
+        assert reopened.get("k") == 1.0
+        reopened.close()

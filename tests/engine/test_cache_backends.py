@@ -1,10 +1,11 @@
-"""Cross-backend cache conformance: every backend behaves identically.
+"""Cache conformance: the in-memory LRU and the sqlite store.
 
-One suite runs against both the JSON/LRU fallback and the sqlite store:
-round trips (payloads value-equal across backends), LRU eviction,
-statistics, warming manifests, persistence across instances, and
-corruption recovery.  Backend-specific behaviour (TTL, byte budgets,
-WAL concurrency) gets its own classes below.
+One suite runs against both stores: round trips, LRU eviction,
+statistics, peek, clear, hot keys and warming.  Persistence across
+instances, manifest warming of a fresh instance and corruption recovery
+run on the sqlite store alone, the one persistent path.  Cache selection
+by path and sqlite-specific behaviour (TTL, byte budgets, WAL
+concurrency) get their own classes below.
 """
 
 import json
@@ -51,27 +52,31 @@ PAYLOADS = {
 }
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=["memory", "sqlite"])
 def make_cache(request, tmp_path):
-    """Factory building a persistent cache of the parametrized backend.
+    """Factory building a cache of the parametrized store.
 
-    Repeated calls reuse the same store path, so a second instance sees
-    the first one's persisted entries.  The sqlite backend is built with
-    ``recency_resolution=0`` so recency-sensitive LRU assertions hold
-    exactly (the production default coalesces recency writes).
+    For sqlite, repeated calls reuse the same store path, so a second
+    instance sees the first one's persisted entries; the store is built
+    with ``recency_resolution=0`` so recency-sensitive LRU assertions
+    hold exactly (the production default coalesces recency writes).
     """
-    suffix = {"json": "store.json", "sqlite": "store.db"}[request.param]
-    path = str(tmp_path / suffix)
+    path = str(tmp_path / "store.db")
 
-    def _make(capacity=64, **kwargs):
+    def _make(capacity=64):
         if request.param == "sqlite":
             return SqliteCache(path, capacity=capacity,
-                               recency_resolution=0.0, **kwargs)
-        return ResultCache(capacity=capacity, path=path)
+                               recency_resolution=0.0)
+        return ResultCache(capacity=capacity)
 
     _make.backend = request.param
     _make.path = path
     return _make
+
+
+#: Tests of persistence across instances: the sqlite store only.
+sqlite_only = pytest.mark.parametrize("make_cache", ["sqlite"],
+                                      indirect=True)
 
 
 class TestConformance:
@@ -83,6 +88,7 @@ class TestConformance:
             assert cache.get(key) == value
         assert cache.get("absent") is MISS
 
+    @sqlite_only
     def test_round_trip_across_instances(self, make_cache):
         cache = make_cache()
         for key, value in PAYLOADS.items():
@@ -145,6 +151,7 @@ class TestConformance:
         assert cache.get("a") is MISS
         assert cache.stats.hits == 1
 
+    @sqlite_only
     def test_memory_only_entries_do_not_persist(self, make_cache):
         cache = make_cache()
         marker = object()
@@ -168,6 +175,7 @@ class TestConformance:
         assert hot[0] == "k0"
         assert len(hot) == 2
 
+    @sqlite_only
     def test_warming_from_manifest(self, make_cache, tmp_path):
         cache = make_cache()
         for key, value in PAYLOADS.items():
@@ -197,6 +205,7 @@ class TestConformance:
         assert cache.peek("cold") == 1.0
         assert cache.peek("other") is MISS
 
+    @sqlite_only
     def test_corrupt_store_recovers_empty(self, make_cache):
         with open(make_cache.path, "wb") as handle:
             handle.write(b"\x13garbage that is neither json nor sqlite")
@@ -230,71 +239,66 @@ class TestConformance:
         assert not first.cache_hit and second.cache_hit
         assert second.result == first.result
         assert engine.executed == 1
-        assert engine.stats().cache_backend == make_cache.backend
-
-
-class TestCrossBackend:
-    def test_payloads_value_equal_across_backends(self, tmp_path):
-        json_cache = ResultCache(capacity=64,
-                                 path=str(tmp_path / "a.json"))
-        sqlite_cache = SqliteCache(str(tmp_path / "a.db"), capacity=64)
-        for key, value in PAYLOADS.items():
-            json_cache.put(key, value)
-            sqlite_cache.put(key, value)
-        for key in PAYLOADS:
-            assert json_cache.get(key) == sqlite_cache.get(key)
-
-    def test_engine_results_identical_across_backends(self, tmp_path):
-        tree = small_tree()
-        results = {}
-        for backend, name in (("json", "c.json"), ("sqlite", "c.db")):
-            engine = Engine(workers=1, cache_path=str(tmp_path / name),
-                            cache_backend=backend)
-            cold = engine.run_shared(QuantifyJob(tree))
-            warm = engine.run_shared(QuantifyJob(tree))
-            assert warm.cache_hit
-            assert warm.result == cold.result
-            results[backend] = warm.result
-        assert results["json"] == results["sqlite"]
+        assert engine.cache.info()["backend"] == make_cache.backend
 
 
 class TestCreateCache:
-    def test_auto_picks_backend_by_suffix(self, tmp_path):
-        for suffix in (".db", ".sqlite", ".sqlite3"):
-            cache = create_cache(path=str(tmp_path / f"s{suffix}"))
-            assert cache.name == "sqlite"
-        assert create_cache(path=str(tmp_path / "s.json")).name == "json"
-        assert create_cache().name == "json"
+    def test_no_path_gives_memory(self):
+        cache = create_cache(capacity=8)
+        assert isinstance(cache, ResultCache)
+        assert cache.info()["backend"] == "memory"
+        assert cache.capacity == 8
 
-    def test_explicit_backends(self, tmp_path):
-        assert create_cache(backend="json").name == "json"
-        cache = create_cache(backend="sqlite",
-                             path=str(tmp_path / "x.db"),
-                             ttl=60.0, max_bytes=1 << 20)
-        assert cache.name == "sqlite"
-        assert cache.ttl == 60.0
+    def test_any_path_gives_sqlite(self, tmp_path):
+        for name in ("c.db", "c.json", "c"):
+            cache = create_cache(path=str(tmp_path / name))
+            assert isinstance(cache, SqliteCache)
+            assert cache.info()["backend"] == "sqlite"
+            cache.close()
 
-    def test_rejects_unknown_backend(self):
+    def test_engine_wires_backend_selection(self, tmp_path):
+        assert isinstance(Engine().cache, ResultCache)
+        for name in ("e.db", "e.json", "e"):
+            path = str(tmp_path / name)
+            engine = Engine(workers=1, cache_path=path)
+            assert isinstance(engine.cache, SqliteCache)
+            engine.run(QuantifyJob(small_tree()))
+            engine.save_cache()
+            engine.cache.close()
+            reopened = Engine(workers=1, cache_path=path)
+            assert reopened.run_shared(QuantifyJob(small_tree())).cache_hit
+            reopened.cache.close()
+
+    def test_bounds_need_a_path(self, tmp_path):
         with pytest.raises(EngineError):
-            create_cache(backend="redis")
+            create_cache(ttl=10.0)
+        with pytest.raises(EngineError):
+            create_cache(max_bytes=100)
+        with pytest.raises(EngineError):
+            Engine(cache_ttl=10.0)
+        with pytest.raises(EngineError):
+            Engine(cache_max_bytes=100)
+        cache = create_cache(path=str(tmp_path / "x.db"), ttl=60.0,
+                             max_bytes=1 << 20)
+        assert cache.ttl == 60.0 and cache.max_bytes == 1 << 20
 
     def test_sqlite_requires_path(self):
         with pytest.raises(EngineError):
-            create_cache(backend="sqlite")
+            SqliteCache("")
 
-    def test_json_rejects_ttl_and_budget(self, tmp_path):
-        with pytest.raises(EngineError):
-            create_cache(backend="json", ttl=10.0)
-        with pytest.raises(EngineError):
-            create_cache(backend="json", max_bytes=100)
-
-    def test_engine_wires_backend_selection(self, tmp_path):
-        engine = Engine(workers=1,
-                        cache_path=str(tmp_path / "engine.db"))
-        assert engine.cache.name == "sqlite"
-        engine = Engine(workers=1,
-                        cache_path=str(tmp_path / "engine.json"))
-        assert engine.cache.name == "json"
+    def test_json_store_is_refused_in_place(self, tmp_path):
+        # The format earlier versions of the in-memory cache saved.
+        path = tmp_path / "results-cache.json"
+        path.write_text(json.dumps(
+            {"entries": {"ab12": 0.5}, "version": 1}, sort_keys=True))
+        before = path.read_bytes()
+        with pytest.raises(EngineError, match="results-cache.json"):
+            SqliteCache(str(path))
+        with pytest.raises(EngineError, match="results-cache.json"):
+            Engine(cache_path=str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["results-cache.json"]
 
 
 class TestSqliteSpecific:

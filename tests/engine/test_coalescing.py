@@ -19,6 +19,7 @@ from repro.engine import (
     QuantifyJob,
     ResultCache,
     RunOutcome,
+    SqliteCache,
     SweepJob,
 )
 from repro.engine.jobs import Job
@@ -313,8 +314,8 @@ class TestThreadSafeCache:
         assert 0.0 <= stats.hit_rate <= 1.0
 
     def test_info_snapshot(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=8, path=path)
+        path = str(tmp_path / "cache.db")
+        cache = SqliteCache(path, capacity=8)
         cache.put("a", 1)
         cache.get("a")
         cache.get("b")
@@ -326,8 +327,8 @@ class TestThreadSafeCache:
         assert json.dumps(info)  # JSON-safe for the /stats endpoint
 
     def test_concurrent_save_and_put(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=256, path=path)
+        path = str(tmp_path / "cache.db")
+        cache = SqliteCache(path, capacity=256)
         for i in range(32):
             cache.put(f"seed-{i}", i)
 
@@ -343,7 +344,7 @@ class TestThreadSafeCache:
         # The last save may predate the last put; saving once more
         # captures a consistent final snapshot.
         count = cache.save()
-        reloaded = ResultCache(capacity=256, path=path)
+        reloaded = SqliteCache(path, capacity=256)
         assert len(reloaded) == count == len(cache)
 
     def test_sweep_results_byte_equal_across_threads(self):

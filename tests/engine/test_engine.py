@@ -142,7 +142,7 @@ class TestStats:
 
 class TestDiskPersistence:
     def test_results_survive_engine_restarts(self, tmp_path):
-        path = str(tmp_path / "cache.json")
+        path = str(tmp_path / "cache.db")
         tree = small_tree()
         job = SweepJob.from_axes(tree, {"A": identity("pA")},
                                  {"pA": [0.1, 0.2, 0.3]})
@@ -161,7 +161,7 @@ class TestDiskPersistence:
         from repro.engine import ResultCache
         with pytest.raises(EngineError):
             Engine(cache=ResultCache(capacity=2),
-                   cache_path=str(tmp_path / "c.json"))
+                   cache_path=str(tmp_path / "c.db"))
 
 
 class TestCoreWiring:
@@ -269,7 +269,7 @@ class TestBatchCli:
     def test_batch_cache_warms_across_invocations(self, tmp_path, capsys):
         from repro.cli import main
         jobs = self.jobs_file(tmp_path)
-        cache = str(tmp_path / "cache.json")
+        cache = str(tmp_path / "cache.db")
         assert main(["batch", jobs, "--cache", cache]) == 0
         cold = capsys.readouterr().out
         assert "executed=3" in cold
@@ -315,4 +315,4 @@ class TestBatchCli:
             {"type": "montecarlo", "tree": self.tree_dict(),
              "probabilities": probs, "samples": "lots"}]}))
         assert main(["batch", str(bad_samples)]) == 1
-        assert "'samples' must be a number" in capsys.readouterr().err
+        assert "'samples' must be an integer" in capsys.readouterr().err

@@ -132,7 +132,7 @@ class TestEngineIntegration:
         assert stats.cache["hits"] == 1
 
     def test_disk_cache_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
+        path = str(tmp_path / "cache.db")
         engine = Engine(workers=1, cache_path=path)
         result = engine.run(SimulationJob(config(), replications=3))
         engine.save_cache()

@@ -1,6 +1,7 @@
 """The JSON job-spec wire format shared by `repro batch` and serve."""
 
 import json
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.engine import (
 from repro.errors import EngineError
 from repro.fta import FaultTree, tree_to_dict, tree_to_json
 from repro.fta.dsl import AND, hazard, primary
+from tests.engine._bad_specs import BAD_SPECS
 
 
 def inline_tree_dict():
@@ -96,7 +98,7 @@ class TestJobFromSpec:
                            "policy": "bogus"})
 
     def test_bad_number_field(self):
-        with pytest.raises(EngineError, match="must be a number"):
+        with pytest.raises(EngineError, match="must be an integer"):
             job_from_spec({"type": "montecarlo",
                            "tree": inline_tree_dict(),
                            "samples": "many"})
@@ -104,6 +106,29 @@ class TestJobFromSpec:
     def test_spec_types_constant(self):
         assert SPEC_TYPES == ("quantify", "sweep", "montecarlo",
                               "incremental")
+
+
+class TestRejectsMalformedFields:
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_typed_error(self, spec, message):
+        with pytest.raises(EngineError, match=re.escape(message)):
+            jobs_from_payload(spec, allow_files=False)
+
+    def test_well_formed_fields_still_pass(self):
+        jobs = jobs_from_payload([
+            {"type": "quantify", "tree": "corridor",
+             "probabilities": {"Signal not shown": 0.5}},
+            {"type": "montecarlo", "tree": "corridor", "samples": 10,
+             "seed": 3, "shards": 2, "confidence": 0.9},
+            {"type": "sweep", "tree": "corridor",
+             "axes": {"Signal not shown": [0, 0.5, 1]}},
+            {"type": "incremental", "tree": "corridor",
+             "sift_threshold": None}])
+        assert jobs[0].probabilities == {"Signal not shown": 0.5}
+        assert (jobs[1].samples, jobs[1].seed, jobs[1].shards) == \
+            (10, 3, 2)
+        assert len(jobs[2].grid) == 3
+        assert jobs[3].sift_threshold is None
 
 
 class TestJobsFromPayload:

@@ -145,11 +145,11 @@ class TestCachePersistence:
     def test_sqlite_backend_round_trip(self, tmp_path):
         path = str(tmp_path / "incr.db")
         tree = wide_tree()
-        cache = create_cache(backend="sqlite", path=path)
+        cache = create_cache(path=path)
         baseline = IncrementalSession(tree, cache=cache).quantify()
         cache.save()
         cache.close()
-        warm = create_cache(backend="sqlite", path=path)
+        warm = create_cache(path=path)
         session = IncrementalSession(tree, cache=warm)
         assert session.quantify() == baseline
         assert session.stats.as_dict()["module_compiles"] == 0

@@ -152,9 +152,9 @@ class TestPermanentDegradation:
     def test_degraded_save_and_load_refuse_quietly(self, tmp_path):
         cache = self._degrade(tmp_path)
         cache.put("k", 1)
-        assert cache.save(str(tmp_path / "snap.json")) == 0
+        assert cache.save(str(tmp_path / "snap.db")) == 0
         with pytest.raises(EngineError):
-            cache.load(str(tmp_path / "snap.json"))
+            cache.load(str(tmp_path / "snap.db"))
         cache.close()
 
 

@@ -1,14 +1,20 @@
 """End-to-end service tests over real HTTP on an ephemeral port."""
 
 import json
+import os
+import queue
+import re
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.engine import Engine, job_from_spec
+from repro.engine import Engine, SqliteCache, job_from_spec
 from repro.errors import ServeError
 from repro.serve import RiskServer, ServeClient, ServerConfig
+from tests.engine._bad_specs import BAD_SPECS
 
 QUANTIFY = {"type": "quantify", "tree": "corridor", "method": "exact"}
 MONTECARLO = {"type": "montecarlo", "tree": "corridor",
@@ -128,6 +134,30 @@ class TestErrors:
         with pytest.raises(ServeError) as excinfo:
             client.submit([{"type": "wat"}])
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("spec, message", BAD_SPECS)
+    def test_malformed_field_is_final_400(self, server, spec, message):
+        with ServeClient(server.host, server.port, timeout=10.0) as c:
+            with pytest.raises(ServeError) as excinfo:
+                c.results([spec])
+            assert excinfo.value.status == 400
+            assert message in str(excinfo.value)
+            # A rejected request is an answer, not an outage.
+            assert c.retries == 0
+            assert c.health()["status"] == "ok"
+        assert server.accepted == 0
+
+    def test_unexpected_build_failure_is_400(self, client, monkeypatch):
+        import repro.serve.server as server_module
+
+        def explode(payload, allow_files):
+            raise ValueError("escaped the typed checks")
+        monkeypatch.setattr(server_module, "jobs_from_payload", explode)
+        response = client._request("POST", "/jobs",
+                                   json.dumps(QUANTIFY).encode())
+        assert response.status == 400
+        assert json.loads(response.read())["error"] == \
+            "escaped the typed checks"
 
     def test_empty_payload_is_400(self, client):
         with pytest.raises(ServeError) as excinfo:
@@ -277,7 +307,7 @@ class TestShutdown:
             instance.shutdown(drain=False)
 
     def test_cache_persists_across_server_lifetimes(self, tmp_path):
-        cache_path = str(tmp_path / "serve-cache.json")
+        cache_path = str(tmp_path / "serve-cache.db")
         first = RiskServer(ServerConfig(port=0,
                                         cache_path=cache_path)).start()
         with ServeClient(first.host, first.port, timeout=10.0) as c:
@@ -325,3 +355,70 @@ class TestShutdown:
     def test_start_twice_is_an_error(self, server):
         with pytest.raises(ServeError, match="already started"):
             server.start()
+
+
+def _read_line(stream, timeout):
+    """The next line of ``stream``, or ``None`` after ``timeout`` s."""
+    lines: "queue.Queue[str]" = queue.Queue()
+    threading.Thread(target=lambda: lines.put(stream.readline()),
+                     daemon=True).start()
+    try:
+        return lines.get(timeout=timeout)
+    except queue.Empty:
+        return None
+
+
+class TestLifecycle:
+    def test_shutdown_of_a_never_started_server(self, tmp_path):
+        path = str(tmp_path / "c.db")
+        instance = RiskServer(ServerConfig(port=0, cache_path=path))
+        instance.engine.run(job_from_spec(QUANTIFY))
+        finished = threading.Event()
+
+        def stop():
+            instance.shutdown()
+            finished.set()
+        threading.Thread(target=stop, daemon=True).start()
+        assert finished.wait(5.0), "shutdown blocked on a server " \
+            "that never served"
+        # The socket is closed and the cache still persisted.
+        assert instance._httpd.socket.fileno() == -1
+        reopened = SqliteCache(path)
+        assert len(reopened) == 1
+        reopened.close()
+        # A serve loop asked for after shutdown returns at once.
+        served = threading.Thread(target=instance.serve_forever,
+                                  daemon=True)
+        served.start()
+        served.join(5.0)
+        assert not served.is_alive()
+        with pytest.raises(ServeError, match="shut down"):
+            instance.start()
+
+    def test_cli_reports_the_bound_port(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [p for p in (env.get("PYTHONPATH"),
+                         os.path.join(root, "src")) if p])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            cwd=root, text=True)
+        try:
+            line = _read_line(proc.stdout, timeout=30.0)
+            assert line is not None, "no 'serving on' line within 30 s"
+            match = re.fullmatch(r"serving on http://([\d.]+):(\d+)\n",
+                                 line)
+            assert match, line
+            host, port = match.group(1), int(match.group(2))
+            assert port != 0
+            with ServeClient(host, port, timeout=10.0) as client:
+                assert client.health()["status"] == "ok"
+                client.shutdown_server()
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()

@@ -247,16 +247,22 @@ class TestBatchCacheBackends:
         assert warm["results"][0]["result"] == \
             cold["results"][0]["result"]
 
-    def test_json_backend_picked_for_json_path(self, tmp_path, capsys):
-        output = self.run_batch(tmp_path, capsys,
-                                "--cache", str(tmp_path / "cache.json"))
-        assert output["stats"]["backend"] == "json"
+    def test_any_cache_path_is_sqlite(self, tmp_path, capsys):
+        assert self.run_batch(tmp_path, capsys)["stats"]["backend"] \
+            == "memory"
+        for name in ("cache.json", "cache.store"):
+            output = self.run_batch(tmp_path, capsys,
+                                    "--cache", str(tmp_path / name))
+            assert output["stats"]["backend"] == "sqlite"
 
-    def test_explicit_backend_overrides_suffix(self, tmp_path, capsys):
-        output = self.run_batch(tmp_path, capsys,
-                                "--cache", str(tmp_path / "cache.store"),
-                                "--cache-backend", "sqlite")
-        assert output["stats"]["backend"] == "sqlite"
+    def test_json_store_is_reported_and_kept(self, tmp_path, capsys):
+        store = tmp_path / "results-cache.json"
+        store.write_text('{"entries": {}, "version": 1}')
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(self.PAYLOAD))
+        assert main(["batch", str(path), "--cache", str(store)]) == 1
+        assert "results-cache.json" in capsys.readouterr().err
+        assert store.read_text() == '{"entries": {}, "version": 1}'
 
     def test_write_then_warm_manifest(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.db")
@@ -294,13 +300,12 @@ class TestBatchCacheBackends:
                      "--fault-plan", str(plan)]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_ttl_flag_rejected_for_json_backend(self, tmp_path, capsys):
+    def test_ttl_flag_needs_a_cache(self, tmp_path, capsys):
         path = tmp_path / "jobs.json"
         path.write_text(json.dumps(self.PAYLOAD))
         assert main(["batch", str(path), "--json",
-                     "--cache", str(tmp_path / "cache.json"),
                      "--cache-ttl", "60"]) == 1
-        assert "error" in capsys.readouterr().err
+        assert "needs a cache path" in capsys.readouterr().err
 
 
 class TestWhatif:
@@ -358,11 +363,9 @@ class TestWhatif:
     def test_cache_warms_across_runs(self, tmp_path, capsys):
         edits = self.write_edits(tmp_path)
         cache = str(tmp_path / "whatif.db")
-        assert main(["whatif", edits, "--cache", cache,
-                     "--cache-backend", "sqlite", "--json"]) == 0
+        assert main(["whatif", edits, "--cache", cache, "--json"]) == 0
         capsys.readouterr()
-        assert main(["whatif", edits, "--cache", cache,
-                     "--cache-backend", "sqlite", "--json"]) == 0
+        assert main(["whatif", edits, "--cache", cache, "--json"]) == 0
         events = [json.loads(line) for line in
                   capsys.readouterr().out.splitlines()]
         assert events[-1]["stats"]["module_compiles"] == 0
@@ -394,7 +397,6 @@ class TestServeCommand:
         assert args.port == 8080
         assert args.workers == 1
         assert args.cache is None
-        assert args.cache_backend == "auto"
         assert args.cache_ttl is None
         assert args.cache_max_bytes is None
         assert args.warm_manifest is None
@@ -406,14 +408,13 @@ class TestServeCommand:
         args = build_parser().parse_args(
             ["serve", "--host", "0.0.0.0", "--port", "9000",
              "--workers", "2", "--cache", "/tmp/c.db",
-             "--cache-backend", "sqlite", "--cache-capacity", "128",
+             "--cache-capacity", "128",
              "--cache-ttl", "3600", "--cache-max-bytes", "1000000",
              "--warm-manifest", "/tmp/hot.json",
              "--max-concurrency", "4",
              "--queue-limit", "16", "--timeout", "5"])
         assert args.host == "0.0.0.0" and args.port == 9000
         assert args.workers == 2 and args.cache == "/tmp/c.db"
-        assert args.cache_backend == "sqlite"
         assert args.cache_capacity == 128
         assert args.cache_ttl == 3600.0
         assert args.cache_max_bytes == 1_000_000

@@ -129,7 +129,7 @@ class TestCaching:
         assert a == b
 
     def test_disk_round_trip(self, tree, model, tmp_path):
-        path = str(tmp_path / "uq-cache.json")
+        path = str(tmp_path / "uq-cache.db")
         engine = Engine(workers=1, cache_path=path)
         job = UncertaintyJob(tree, model, samples=32, seed=1)
         original = engine.run(job)
