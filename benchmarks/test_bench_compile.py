@@ -27,6 +27,8 @@ from repro.fta.dsl import AND, KOFN, hazard, primary
 from repro.sim.montecarlo import monte_carlo_counts
 from repro.viz import format_table
 
+from tests._oracles.montecarlo import walk_counts
+
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
 #: Collected measurements, dumped to BENCH_COMPILE_JSON at session end.
@@ -142,8 +144,7 @@ def test_vectorized_sampler_speedup(report):
     samples = 4_000 if QUICK else 40_000
 
     start = time.perf_counter()
-    interpreted = monte_carlo_counts(tree, samples=samples, seed=11,
-                                     vectorized=False)
+    interpreted = walk_counts(tree, samples=samples, seed=11)
     slow = time.perf_counter() - start
 
     start = time.perf_counter()

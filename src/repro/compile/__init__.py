@@ -21,9 +21,10 @@ Three backends, one front door:
 
 All compiled paths replay the interpreted arithmetic operation-for-
 operation, so results are **bit-identical** to
-:func:`repro.fta.quantify.hazard_probability` and
-:func:`repro.sim.montecarlo.monte_carlo_counts` — callers can switch
-freely between paths without perturbing cached results or seeded runs.
+:func:`repro.fta.quantify.hazard_probability` and, for the sampler, to
+a per-sample walk of the structure function on the same
+``random.Random(seed)`` stream — callers can switch freely between
+paths without perturbing cached results or seeded runs.
 
 Use :func:`compile_tree` (memoized per tree object) unless you need a
 backend directly::

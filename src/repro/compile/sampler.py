@@ -7,11 +7,13 @@ draws is then pushed through it as NumPy boolean arrays — or, for trees
 without K-of-N gates, as bit-packed ``uint8`` words where each bitwise
 AND/OR/XOR instruction processes eight samples at once.
 
-Draws come from the same ``random.Random`` stream in the same order as
-the interpreted loop (sample-major, leaves in first-visit order), so
-:meth:`CompiledSampler.counts` is bit-for-bit compatible with
-:func:`repro.sim.montecarlo.monte_carlo_counts` — same seed, same
-occurrence count.
+Draws follow the ``random.Random(seed)`` stream in the per-sample
+walk's order (sample-major, leaves in first-visit order), so a seed
+gives the same occurrence count on either path.  They are not made by
+``random.Random`` itself: its Mersenne Twister state is handed to
+NumPy's :class:`~numpy.random.MT19937`, whose ``Generator.random``
+builds the same 53-bit doubles from the same 624-word state — a whole
+block of draws in one call instead of one Python call per draw.
 """
 
 from __future__ import annotations
@@ -34,12 +36,28 @@ from repro.fta.gates import GateType
 from repro.fta.tree import FaultTree
 
 #: Samples per evaluation block: bounds peak memory at
-#: ``block * n_leaves`` draws regardless of the total budget.  The draws
-#: are built as a Python list of floats first (~32 bytes each), so at
-#: the corridor tree's 129 leaves a 4,096-sample block stays near 17 MB.
-#: Draws are sample-major from one stream, so the block size moves no
-#: draw and no count.
+#: ``block * n_leaves`` draws regardless of the total budget.  A block
+#: is one float64 array, so at the corridor tree's 129 leaves a
+#: 4,096-sample block is 4.2 MB.  Draws are sample-major from one
+#: stream, so the block size moves no draw and no count.
 _BLOCK = 1 << 12
+
+
+def replay_stream(seed: int) -> np.random.Generator:
+    """A NumPy generator that continues ``random.Random(seed)``.
+
+    CPython's ``random()`` and NumPy's ``MT19937`` share the generator
+    and its 53-bit double construction, so loading the stdlib state
+    into the bit generator makes ``Generator.random`` return, draw for
+    draw, the doubles ``random.Random(seed).random()`` would.
+    """
+    _version, internal, _gauss = random.Random(seed).getstate()
+    bits = np.random.MT19937()
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(internal[:-1],
+                                            dtype=np.uint32),
+                            "pos": internal[-1]}}
+    return np.random.Generator(bits)
 
 
 class CompiledSampler:
@@ -198,26 +216,24 @@ class CompiledSampler:
                samples: int = 100_000, seed: int = 0) -> Tuple[int, int]:
         """Count hazard occurrences over ``samples`` Bernoulli draws.
 
-        Bit-for-bit compatible with the interpreted
-        :func:`repro.sim.montecarlo.monte_carlo_counts`: draws come from
-        ``random.Random(seed)`` in the same sample-major order, so the
-        occurrence count is identical for any tree, seed and budget.
+        Leaf ``j`` of sample ``i`` occurs when draw ``i * n_leaves + j``
+        of the ``random.Random(seed)`` stream (:func:`replay_stream`)
+        falls below its probability — the per-sample walk's order, so
+        the count is identical to that walk's for any tree, seed and
+        budget.
         """
         if samples <= 0:
             raise SimulationError(f"samples must be > 0, got {samples}")
         probs = self._probabilities(probabilities)
         thresholds = np.array([probs[name] for name in self.leaf_names],
                               dtype=np.float64)
-        rng = random.Random(seed)
+        rng = replay_stream(seed)
         n_leaves = len(self.leaf_names)
         occurrences = 0
         remaining = samples
         while remaining > 0:
             block = min(remaining, _BLOCK)
-            uniforms = np.array(
-                [rng.random() for _ in range(block * n_leaves)],
-                dtype=np.float64).reshape(block, n_leaves)
-            draws = uniforms < thresholds
+            draws = rng.random((block, n_leaves)) < thresholds
             if self.packable:
                 occurrences += self._run_packed(draws)
             else:

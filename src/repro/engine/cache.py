@@ -15,7 +15,7 @@ path alone picks between them (:func:`create_cache`):
 
 :class:`SqliteCache` (any path, ``"sqlite"``)
     A WAL-mode sqlite store for the service layer and multi-machine CI:
-    concurrent readers (per-thread connections, reads are write-free),
+    concurrent readers (pooled connections, reads are write-free),
     a single serialized writer, binary npy-style payloads for
     matrix-shaped results (:mod:`repro.engine.payload`), TTL and
     size-based eviction, and durable persistence — a fresh process pays
@@ -54,8 +54,18 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine.payload import decode_payload, encode_payload
 from repro.errors import EngineError
@@ -392,9 +402,12 @@ class SqliteCache(CacheBackend):
         path write-free (eviction needs recency at eviction granularity,
         not per-read precision).
 
-    Concurrency: each thread gets its own read connection (WAL lets
-    readers proceed during a write); writes are serialized through one
-    in-process lock, and across processes by sqlite's own locking.
+    Concurrency: each operation checks a connection out of a shared
+    pool and returns it (WAL lets readers proceed during a write), so
+    the number of open connections is bounded by the threads using the
+    cache at once, not by the threads it has served; writes are
+    serialized through one in-process lock, and across processes by
+    sqlite's own locking.
     Entries stored with ``persist=False`` live in an in-memory LRU side
     table.  A file holding a JSON result store raises
     :class:`EngineError` (see :func:`_refuse_json_store`).
@@ -439,8 +452,10 @@ class SqliteCache(CacheBackend):
         # One lock for writes + in-process bookkeeping (stats, memory
         # side table); reads only take it to bump counters.
         self._lock = threading.RLock()
-        self._local = threading.local()
-        self._connections: List[sqlite3.Connection] = []
+        #: Open connections no operation is using.
+        self._idle: List[sqlite3.Connection] = []
+        #: Bumped by close() and resets: a connection checked out under
+        #: an older generation is closed when it is returned.
         self._generation = 0
         #: Permanently memory-only after repeated store failures.
         self._degraded = False
@@ -454,28 +469,53 @@ class SqliteCache(CacheBackend):
     # Connections & recovery
     # ------------------------------------------------------------------
     def _connect(self) -> sqlite3.Connection:
+        # A pooled connection moves between threads, one at a time.
         conn = sqlite3.connect(self.path, timeout=self.timeout,
-                               isolation_level=None)
+                               isolation_level=None,
+                               check_same_thread=False)
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
         return conn
 
-    def _conn(self) -> sqlite3.Connection:
-        cached = getattr(self._local, "conn", None)
-        if cached is not None \
-                and self._local.generation == self._generation:
-            return cached
-        conn = self._connect()
-        self._local.conn = conn
-        self._local.generation = self._generation
+    @contextmanager
+    def _connection(self) -> Iterator[sqlite3.Connection]:
+        """Check out a connection for one operation.
+
+        An idle connection is reused, or one is opened when every open
+        connection is busy; it returns to the idle list afterwards,
+        unless :meth:`close` or a storage reset ran meanwhile — then it
+        is closed here, by the thread that used it last."""
         with self._lock:
-            self._connections.append(conn)
-        return conn
+            generation = self._generation
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connect()
+        try:
+            yield conn
+        finally:
+            with self._lock:
+                stale = generation != self._generation
+                if not stale:
+                    self._idle.append(conn)
+            if stale:
+                conn.close()
+
+    def _close_idle(self) -> None:
+        """Close every idle connection and retire the busy ones (they
+        close when returned).  Caller holds the lock."""
+        for conn in self._idle:
+            try:
+                conn.close()
+            except sqlite3.Error:  # pragma: no cover - best effort
+                pass
+        self._idle.clear()
+        self._generation += 1
 
     def _init_schema(self) -> None:
         try:
-            self._conn().executescript(self._SCHEMA)
+            with self._connection() as conn:
+                conn.executescript(self._SCHEMA)
         except sqlite3.DatabaseError as exc:
             # Truncated or garbage store: quarantine and start empty
             # rather than taking the engine down.
@@ -488,13 +528,7 @@ class SqliteCache(CacheBackend):
         directory unwritable) the backend degrades to memory-only
         instead of propagating the failure into a job."""
         with self._lock:
-            for conn in self._connections:
-                try:
-                    conn.close()
-                except sqlite3.Error:  # pragma: no cover - best effort
-                    pass
-            self._connections.clear()
-            self._generation += 1
+            self._close_idle()
             try:
                 if os.path.exists(self.path):
                     quarantine(self.path, reason)
@@ -502,7 +536,8 @@ class SqliteCache(CacheBackend):
                     companion = self.path + suffix
                     if os.path.exists(companion):
                         os.remove(companion)
-                self._conn().executescript(self._SCHEMA)
+                with self._connection() as conn:
+                    conn.executescript(self._SCHEMA)
             except _STORE_ERRORS as exc:
                 self._enter_degraded("reset", exc)
 
@@ -540,15 +575,14 @@ class SqliteCache(CacheBackend):
         return self._degraded
 
     def close(self) -> None:
-        """Close every connection this instance opened."""
+        """Close every connection this instance opened.
+
+        Idle connections close at once, busy ones as their operation
+        ends.  The last connection to close checkpoints the WAL and
+        removes the ``-wal``/``-shm`` companions.  A later operation
+        opens a fresh connection."""
         with self._lock:
-            for conn in self._connections:
-                try:
-                    conn.close()
-                except sqlite3.Error:  # pragma: no cover - best effort
-                    pass
-            self._connections.clear()
-            self._generation += 1
+            self._close_idle()
 
     # ------------------------------------------------------------------
     # Core operations
@@ -559,8 +593,8 @@ class SqliteCache(CacheBackend):
             if self._degraded:
                 return memory
         try:
-            row = self._conn().execute(
-                "SELECT COUNT(*) FROM cache").fetchone()
+            with self._connection() as conn:
+                row = conn.execute("SELECT COUNT(*) FROM cache").fetchone()
         except _STORE_ERRORS as exc:
             self._absorb_failure("len", exc)
             return memory
@@ -570,14 +604,14 @@ class SqliteCache(CacheBackend):
         return self.ttl is not None and now - created > self.ttl
 
     def _fetch(self, key: str) -> Optional[Tuple[bytes, float, float]]:
-        return self._conn().execute(
-            "SELECT payload, created, accessed FROM cache "
-            "WHERE key = ?", (key,)).fetchone()
+        with self._connection() as conn:
+            return conn.execute(
+                "SELECT payload, created, accessed FROM cache "
+                "WHERE key = ?", (key,)).fetchone()
 
     def _drop(self, key: str, count_eviction: bool) -> None:
-        with self._lock:
-            self._conn().execute(
-                "DELETE FROM cache WHERE key = ?", (key,))
+        with self._lock, self._connection() as conn:
+            conn.execute("DELETE FROM cache WHERE key = ?", (key,))
             if count_eviction:
                 self.stats.evictions += 1
 
@@ -664,10 +698,9 @@ class SqliteCache(CacheBackend):
             return MISS
 
     def _stamp(self, key: str, now: float) -> None:
-        with self._lock:
-            self._conn().execute(
-                "UPDATE cache SET accessed = ? WHERE key = ?",
-                (now, key))
+        with self._lock, self._connection() as conn:
+            conn.execute("UPDATE cache SET accessed = ? WHERE key = ?",
+                         (now, key))
 
     def _memory_put(self, key: str, value: Any) -> None:
         """Store in the in-memory LRU side table only."""
@@ -713,8 +746,7 @@ class SqliteCache(CacheBackend):
     def _put_store(self, key: str, blob: bytes) -> None:
         """The healthy-path insert; raises on any store failure."""
         now = time.time()
-        with self._lock:
-            conn = self._conn()
+        with self._lock, self._connection() as conn:
             try:
                 conn.execute("BEGIN IMMEDIATE")
                 conn.execute(
@@ -784,7 +816,8 @@ class SqliteCache(CacheBackend):
             if self._degraded:
                 return
         try:
-            self._conn().execute("DELETE FROM cache")
+            with self._connection() as conn:
+                conn.execute("DELETE FROM cache")
         except _STORE_ERRORS as exc:
             self._absorb_failure("clear", exc)
 
@@ -794,9 +827,10 @@ class SqliteCache(CacheBackend):
             if self._degraded:
                 return list(reversed(self._memory))[:max(0, limit)]
         try:
-            rows = self._conn().execute(
-                "SELECT key FROM cache ORDER BY accessed DESC, key ASC "
-                "LIMIT ?", (max(0, limit),)).fetchall()
+            with self._connection() as conn:
+                rows = conn.execute(
+                    "SELECT key FROM cache ORDER BY accessed DESC, "
+                    "key ASC LIMIT ?", (max(0, limit),)).fetchall()
         except _STORE_ERRORS as exc:
             self._absorb_failure("hot_keys", exc)
             return []
@@ -839,18 +873,19 @@ class SqliteCache(CacheBackend):
                 log.warning("sqlite cache degraded; save(%r) skipped",
                             target)
                 return 0
-            conn = self._conn()
             try:
-                if os.path.abspath(target) == os.path.abspath(self.path):
-                    conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
-                else:
-                    backup = sqlite3.connect(target)
-                    try:
-                        conn.backup(backup)
-                    finally:
-                        backup.close()
-                return conn.execute(
-                    "SELECT COUNT(*) FROM cache").fetchone()[0]
+                with self._connection() as conn:
+                    if os.path.abspath(target) \
+                            == os.path.abspath(self.path):
+                        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+                    else:
+                        backup = sqlite3.connect(target)
+                        try:
+                            conn.backup(backup)
+                        finally:
+                            backup.close()
+                    return conn.execute(
+                        "SELECT COUNT(*) FROM cache").fetchone()[0]
             except sqlite3.DatabaseError as exc:
                 raise EngineError(
                     f"cannot save sqlite cache to {target!r}: "
@@ -869,23 +904,24 @@ class SqliteCache(CacheBackend):
                 f"(memory-only); cannot load {source!r}")
         if os.path.abspath(source) == os.path.abspath(self.path):
             try:
-                return self._conn().execute(
-                    "SELECT COUNT(*) FROM cache").fetchone()[0]
+                with self._connection() as conn:
+                    return conn.execute(
+                        "SELECT COUNT(*) FROM cache").fetchone()[0]
             except sqlite3.DatabaseError as exc:
                 self._reset_storage(exc)
                 return 0
         with self._lock:
-            conn = self._conn()
             try:
-                conn.execute("ATTACH DATABASE ? AS src", (source,))
-                try:
-                    count = conn.execute(
-                        "SELECT COUNT(*) FROM src.cache").fetchone()[0]
-                    conn.execute(
-                        "INSERT OR REPLACE INTO cache "
-                        "SELECT * FROM src.cache")
-                finally:
-                    conn.execute("DETACH DATABASE src")
+                with self._connection() as conn:
+                    conn.execute("ATTACH DATABASE ? AS src", (source,))
+                    try:
+                        count = conn.execute(
+                            "SELECT COUNT(*) FROM src.cache").fetchone()[0]
+                        conn.execute(
+                            "INSERT OR REPLACE INTO cache "
+                            "SELECT * FROM src.cache")
+                    finally:
+                        conn.execute("DETACH DATABASE src")
             except sqlite3.DatabaseError as exc:
                 raise EngineError(
                     f"cannot load cache file {source!r}: {exc}") from None

@@ -507,16 +507,18 @@ class MonteCarloJob(Job):
 class UncertaintyJob(Job):
     """Epistemic uncertainty propagation through one fault tree.
 
-    The seeded sampling design is a pure function of ``(model, samples,
-    seed, sampler)`` and is built *whole* in the parent process; workers
-    only quantify row blocks of the finished matrix.  Because each
-    row's quantification is element-wise, the assembled result is
-    bit-identical to the serial run — and to the scalar per-sample
-    reference loop (:func:`repro.uq.reference_propagate`) — at any
-    worker or shard count.  The fingerprint extends the tree's
-    structural hash with the :class:`~repro.uq.spec.UncertainModel`
-    content hash, so semantically identical UQ requests share a cache
-    entry across sessions.
+    The seeded uniform design is a pure function of ``(model, samples,
+    seed, sampler)`` and is built *whole* in the parent process
+    (:func:`repro.uq.propagation_design`); each chunk receives a row
+    block of uniforms plus the model, and turns it into leaf
+    probabilities and top-event values there
+    (:func:`repro.uq.evaluate_design`, the serial run's route too).
+    Because each row's computation is element-wise, the assembled
+    result is bit-identical to the serial run at any worker or chunk
+    count.  The fingerprint extends the tree's structural hash with the
+    :class:`~repro.uq.spec.UncertainModel` content hash, so
+    semantically identical UQ requests share a cache entry across
+    sessions.
     """
 
     kind = "uncertainty"
@@ -571,14 +573,14 @@ class UncertaintyJob(Job):
     def run(self, pool: WorkerPool):
         if not pool.is_parallel or self.samples == 1:
             return self.run_serial()
-        from repro.uq import PropagationResult, propagation_matrix
-        matrix = propagation_matrix(
+        from repro.uq import PropagationResult, propagation_design
+        uniforms = propagation_design(
             self.tree, self.model, self.samples, seed=self.seed,
             sampler=self.sampler, method=self.method, policy=self.policy)
         chunks = self.chunks if self.chunks is not None \
             else 4 * pool.workers
-        payloads = [(self.tree, self.method, self.policy,
-                     matrix[start:stop])
+        payloads = [(self.tree, self.model, self.method, self.policy,
+                     uniforms[start:stop])
                     for start, stop in chunk_indices(self.samples,
                                                      chunks)]
         values: List[float] = []

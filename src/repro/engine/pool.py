@@ -330,16 +330,18 @@ def run_simulation_shard(payload: Tuple) -> list:
 
 
 def run_uq_chunk(payload: Tuple) -> list:
-    """Propagate one row block of a UQ leaf-probability matrix.
+    """Propagate one row block of a UQ design.
 
-    ``payload`` is ``(tree, method, policy, block)`` where ``block`` is
-    a ``(rows, n_leaves)`` slice of the full seeded design matrix built
-    in the parent.  Each row's quantification is an independent
-    element-wise computation, so concatenating per-chunk results is
-    bit-identical to evaluating the whole matrix at once — worker and
-    shard counts cannot perturb the sampled distribution.
+    ``payload`` is ``(tree, model, method, policy, block)`` where
+    ``block`` is a ``(rows, n_uncertain)`` slice of the seeded uniform
+    design built in the parent.  The chunk applies the model's
+    quantiles and evaluates the rows through
+    :func:`repro.uq.evaluate_design` — the serial run's route — and
+    each row is an independent element-wise computation, so
+    concatenating per-chunk results is bit-identical to evaluating the
+    whole design at once: worker and chunk counts cannot perturb the
+    sampled distribution.
     """
-    from repro.compile import compile_tree
-    tree, method, policy, block = payload
-    evaluator = compile_tree(tree, method, policy)
-    return [float(v) for v in evaluator.evaluate_matrix(block)]
+    from repro.uq.propagate import evaluate_design
+    tree, model, method, policy, block = payload
+    return evaluate_design(tree, model, block, method, policy).tolist()

@@ -3,7 +3,8 @@
 The library's native optimizers are self-contained; this module exposes
 the equivalent scipy solvers behind the same :class:`OptResult` interface
 so tests and benchmarks can confirm both stacks agree on the Elbtunnel
-optimum.
+optimum.  ``scipy.optimize`` is imported by the solver calls, not with
+the module: importing it costs more than the rest of the library.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from repro.opt.problem import OptResult, Problem, Vector
 
@@ -23,6 +23,7 @@ def scipy_minimize(problem: Problem, x0: Optional[Vector] = None,
     ``method`` must support bounds (L-BFGS-B, Nelder-Mead, Powell, TNC,
     trust-constr, ...).
     """
+    from scipy import optimize
     box = problem.box
     start = np.asarray(box.clip(x0) if x0 is not None else box.center,
                        dtype=float)
@@ -39,8 +40,8 @@ def scipy_minimize(problem: Problem, x0: Optional[Vector] = None,
     elif method == "Nelder-Mead":
         options.setdefault("xatol", 1e-8)
         options.setdefault("fatol", 1e-12)
-    result = _sciopt.minimize(objective, start, method=method,
-                              bounds=box.bounds, options=options or None)
+    result = optimize.minimize(objective, start, method=method,
+                               bounds=box.bounds, options=options or None)
     x = box.clip(tuple(float(v) for v in np.atleast_1d(result.x)))
     return OptResult(
         x=x, fun=float(result.fun),
@@ -53,13 +54,14 @@ def scipy_minimize(problem: Problem, x0: Optional[Vector] = None,
 def scipy_differential_evolution(problem: Problem, seed: int = 0,
                                  **options) -> OptResult:
     """Minimize with :func:`scipy.optimize.differential_evolution`."""
+    from scipy import optimize
     box = problem.box
     start_evals = problem.evaluations
 
     def objective(x) -> float:
         return problem(box.clip(tuple(float(v) for v in x)))
 
-    result = _sciopt.differential_evolution(
+    result = optimize.differential_evolution(
         objective, bounds=box.bounds, seed=seed, **options)
     x = box.clip(tuple(float(v) for v in np.atleast_1d(result.x)))
     return OptResult(

@@ -90,13 +90,15 @@ class RiskServer:
         Server tunables; defaults bind ``127.0.0.1:8080``.
     engine:
         A pre-built engine to serve from (shares its cache with other
-        owners); by default the server builds its own from the config's
-        ``workers``/``cache_path``/``cache_capacity``.
+        owners, who close it); by default the server builds its own
+        from the config's ``workers``/``cache_path``/``cache_capacity``,
+        and closes that engine's cache at shutdown.
     """
 
     def __init__(self, config: Optional[ServerConfig] = None,
                  engine: Optional[Engine] = None):
         self.config = (config or ServerConfig()).validate()
+        self._owns_engine = engine is None
         self.engine = engine if engine is not None else Engine(
             workers=self.config.workers,
             cache_path=self.config.cache_path,
@@ -177,8 +179,9 @@ class RiskServer:
 
         New submissions are rejected (429) the moment shutdown begins;
         already-admitted requests run to completion (bounded by
-        ``timeout`` seconds), then the listening socket closes and the
-        result cache is persisted when a path is configured.
+        ``timeout`` seconds), then the result cache is persisted when a
+        path is configured, the cache of an engine the server built is
+        closed, and the listening socket closes.
         """
         with self._state:
             if self._shut_down:
@@ -209,6 +212,10 @@ class RiskServer:
         # moment serve_forever returns.
         if self.config.cache_path:
             self.engine.save_cache()
+        if self._owns_engine:
+            # Closing the last connection checkpoints the WAL and
+            # removes the store's -wal/-shm companions.
+            self.engine.cache.close()
         if serving:
             # Waits for the serve loop to stop; a loop that was never
             # entered would never signal it.

@@ -49,8 +49,7 @@ class MonteCarloEstimate:
 def monte_carlo_counts(
         tree: FaultTree,
         probabilities: Optional[Dict[str, float]] = None,
-        samples: int = 100_000, seed: int = 0,
-        vectorized: bool = True) -> Tuple[int, int]:
+        samples: int = 100_000, seed: int = 0) -> Tuple[int, int]:
     """Count hazard occurrences over ``samples`` draws.
 
     The raw ``(occurrences, samples)`` pair behind
@@ -58,31 +57,16 @@ def monte_carlo_counts(
     (by :mod:`repro.engine`) can be pooled into one Wilson interval via
     :func:`repro.stats.estimation.pooled_wilson_ci`.
 
-    With ``vectorized`` (the default) the structure function is compiled
-    by :mod:`repro.compile` and evaluated on whole blocks of draws —
-    bit-packed where the tree allows it.  Draws come from the same
-    ``random.Random`` stream in the same order as the interpreted loop,
-    so the count is *bit-for-bit identical* for any seed; ``False``
-    keeps the original per-sample walk (the reference implementation
-    the vectorized path is tested against).
+    The structure function is compiled by :mod:`repro.compile` and
+    evaluated on whole blocks of draws, bit-packed where the tree allows
+    it.  Sample ``i`` draws its leaves, in first-visit order, from the
+    ``random.Random(seed)`` stream, so the count equals that of a
+    per-sample walk of the tree on the same stream.
     """
     if samples <= 0:
         raise SimulationError(f"samples must be > 0, got {samples}")
-    if vectorized:
-        from repro.compile import compile_sampler
-        return compile_sampler(tree).counts(probabilities, samples, seed)
-    probs = probability_map(tree, probabilities)
-    leaf_names = [e.name for e in tree.iter_events()
-                  if isinstance(e, (PrimaryFailure, Condition))]
-    rng = random.Random(seed)
-    occurrences = 0
-    assignment: Dict[str, bool] = {}
-    for _ in range(samples):
-        for name in leaf_names:
-            assignment[name] = rng.random() < probs[name]
-        if tree.evaluate(assignment):
-            occurrences += 1
-    return occurrences, samples
+    from repro.compile import compile_sampler
+    return compile_sampler(tree).counts(probabilities, samples, seed)
 
 
 def monte_carlo_probability(

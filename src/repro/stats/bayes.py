@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy import special as _special
 
 from repro.errors import DistributionError
 from repro.stats.distributions import (
@@ -33,6 +32,19 @@ from repro.stats.distributions import (
     _as_probability_array,
     _check_open_unit,
 )
+
+
+def _special():
+    """:mod:`scipy.special`, imported on first use.
+
+    Importing SciPy costs more than the rest of the library, and only
+    these two distributions need it.  Constructing one imports it, so a
+    parent process that builds a model hands it loaded to the pool
+    workers it forks; the other uses cover instances made without
+    ``__init__`` (unpickled ones).
+    """
+    from scipy import special
+    return special
 
 
 @dataclass(frozen=True)
@@ -46,19 +58,21 @@ class Beta(Distribution):
         if self.a <= 0.0 or self.b <= 0.0:
             raise DistributionError(
                 f"shape parameters must be > 0, got a={self.a} b={self.b}")
+        _special()
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
         if x >= 1.0:
             return 1.0
-        return float(_special.betainc(self.a, self.b, x))
+        return float(_special().betainc(self.a, self.b, x))
 
     def pdf(self, x: float) -> float:
         if not 0.0 <= x <= 1.0:
             return 0.0
-        log_norm = (_special.gammaln(self.a + self.b)
-                    - _special.gammaln(self.a) - _special.gammaln(self.b))
+        gammaln = _special().gammaln
+        log_norm = (gammaln(self.a + self.b)
+                    - gammaln(self.a) - gammaln(self.b))
         if x == 0.0:
             if self.a < 1.0:
                 return math.inf
@@ -78,14 +92,14 @@ class Beta(Distribution):
         if not 0.0 < p < 1.0:
             raise DistributionError(f"ppf argument must be in (0, 1), "
                                     f"got {p}")
-        return float(_special.betaincinv(self.a, self.b, p))
+        return float(_special().betaincinv(self.a, self.b, p))
 
     def ppf_batch(self, p) -> np.ndarray:
         # SciPy ufuncs evaluate the same C kernel per element whether
         # called on scalars or arrays, so this is both vectorized and
         # bit-identical to the scalar quantile.
         p = _check_open_unit(_as_probability_array(p))
-        return np.asarray(_special.betaincinv(self.a, self.b, p),
+        return np.asarray(_special().betaincinv(self.a, self.b, p),
                           dtype=np.float64)
 
     @property
@@ -119,11 +133,12 @@ class GammaDist(Distribution):
             raise DistributionError(
                 f"shape and rate must be > 0, got k={self.k} "
                 f"rate={self.rate}")
+        _special()
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        return float(_special.gammainc(self.k, self.rate * x))
+        return float(_special().gammainc(self.k, self.rate * x))
 
     def pdf(self, x: float) -> float:
         if x < 0.0:
@@ -134,20 +149,20 @@ class GammaDist(Distribution):
             return self.rate if self.k == 1.0 else 0.0
         log_pdf = (self.k * math.log(self.rate)
                    + (self.k - 1.0) * math.log(x) - self.rate * x
-                   - float(_special.gammaln(self.k)))
+                   - float(_special().gammaln(self.k)))
         return math.exp(log_pdf)
 
     def ppf(self, p: float) -> float:
         if not 0.0 < p < 1.0:
             raise DistributionError(f"ppf argument must be in (0, 1), "
                                     f"got {p}")
-        return float(_special.gammaincinv(self.k, p)) / self.rate
+        return float(_special().gammaincinv(self.k, p)) / self.rate
 
     def ppf_batch(self, p) -> np.ndarray:
         # Same SciPy kernel as the scalar path; the division is exact
         # element-wise IEEE arithmetic.
         p = _check_open_unit(_as_probability_array(p))
-        return np.asarray(_special.gammaincinv(self.k, p),
+        return np.asarray(_special().gammaincinv(self.k, p),
                           dtype=np.float64) / self.rate
 
     @property

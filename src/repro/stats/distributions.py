@@ -34,6 +34,42 @@ def _big_phi(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
+#: Acklam's rational approximation of the inverse normal CDF: the
+#: central numerator ``_A``/denominator ``_B`` in ``r = (p - 1/2)^2``,
+#: the tail numerator ``_C``/denominator ``_D`` in
+#: ``q = sqrt(-2 log p)``, and the tail/central breakpoint ``_P_LOW``.
+_A = (-3.969683028665376e+01, 2.209460984245205e+02,
+      -2.759285104469687e+02, 1.383577518672690e+02,
+      -3.066479806614716e+01, 2.506628277459239e+00)
+_B = (-5.447609879822406e+01, 1.615858368580409e+02,
+      -1.556989798598866e+02, 6.680131188771972e+01,
+      -1.328068155288572e+01)
+_C = (-7.784894002430293e-03, -3.223964580411365e-01,
+      -2.400758277161838e+00, -2.549732539343734e+00,
+      4.374664141464968e+00, 2.938163982698783e+00)
+_D = (7.784695709041462e-03, 3.224671290700398e-01,
+      2.445134137142996e+00, 3.754408661907416e+00)
+_P_LOW = 0.02425
+_P_HIGH = 1.0 - _P_LOW
+
+
+def _acklam_central(q):
+    """Acklam's central branch at ``q = p - 0.5`` (float or array)."""
+    a, b = _A, _B
+    r = q * q
+    return ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r +
+             a[5]) * q /
+            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r +
+             1.0))
+
+
+def _acklam_tail(q):
+    """Acklam's lower-tail branch at ``q = sqrt(-2 log p)``."""
+    c, d = _C, _D
+    return ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
+             c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
+
+
 def _big_phi_inv(p: float) -> float:
     """Inverse standard normal CDF (Acklam's rational approximation).
 
@@ -42,34 +78,12 @@ def _big_phi_inv(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DistributionError(f"ppf argument must be in (0, 1), got {p}")
-    # Coefficients for the central and tail rational approximations.
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
-             c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r +
-              a[5]) * q /
-             (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r +
-              1.0))
+    if p < _P_LOW:
+        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
+    elif p <= _P_HIGH:
+        x = _acklam_central(p - 0.5)
     else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
-              c[5]) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
     # One Newton refinement using the exact erf-based CDF.
     err = _big_phi(x) - p
     density = _phi(x)
@@ -109,17 +123,44 @@ def _check_closed_unit(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _big_phi_inv_batch(p: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`_big_phi_inv` over an array.
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """The :mod:`math` function ``fn`` applied to every element.
 
-    The transcendental core stays element-wise on purpose: NumPy's SIMD
-    ``exp``/``log``/``erf`` kernels differ from libm in the last ulp, and
-    the library's contract is that batched results are *bit-identical*
-    to the scalar path, not merely close.  Callers vectorize the exact
-    affine arithmetic around this call.
+    NumPy's SIMD ``exp``/``log``/``log1p`` differ from libm in the last
+    ulp (``erf`` and ``ndtri`` are SciPy kernels of their own), and the
+    batched quantiles must equal the scalar ones bit for bit, so the
+    transcendental calls stay on libm, one per element.
     """
-    return np.fromiter((_big_phi_inv(float(v)) for v in p),
-                       dtype=np.float64, count=p.size)
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64,
+                       count=values.size)
+
+
+def _big_phi_inv_batch(p: np.ndarray) -> np.ndarray:
+    """:func:`_big_phi_inv` over an array, bit for bit.
+
+    Masks pick Acklam's three branches; the polynomials, ``sqrt``, the
+    CDF and density around ``erf``/``exp`` and the Newton update run as
+    NumPy expressions in the scalar's operation order (IEEE ``+ - * /``
+    and ``sqrt`` are correctly rounded, so element-wise NumPy gives the
+    scalar's doubles).  Only ``log``, ``erf`` and ``exp`` go through
+    :func:`_libm`.
+    """
+    p = _check_open_unit(p)
+    x = np.empty_like(p)
+    low = p < _P_LOW
+    high = p > _P_HIGH
+    central = ~(low | high)
+    x[central] = _acklam_central(p[central] - 0.5)
+    x[low] = _acklam_tail(np.sqrt(-2.0 * _libm(math.log, p[low])))
+    x[high] = -_acklam_tail(
+        np.sqrt(-2.0 * _libm(math.log, 1.0 - p[high])))
+    # The Newton refinement of _big_phi_inv, with _big_phi and _phi
+    # spelled out around their libm calls.
+    err = 0.5 * (1.0 + _libm(math.erf, x / _SQRT2)) - p
+    density = _libm(math.exp, -0.5 * x * x) / _SQRT2PI
+    step = density > 0.0
+    x[step] -= err[step] / density[step]
+    return x
 
 
 class Distribution:
@@ -183,10 +224,11 @@ class Distribution:
 
         Element-wise **bit-identical** to calling :meth:`ppf` per value —
         the contract the UQ propagation paths rely on.  Subclasses whose
-        quantile is exact affine arithmetic (or a SciPy ufunc evaluating
-        the same kernel either way) override this with a truly vectorized
-        path; this generic fallback evaluates the scalar quantile per
-        element, which is correct for every subclass.
+        quantile is exact IEEE arithmetic around libm calls (the normal
+        family, through :func:`_big_phi_inv_batch`) or a SciPy ufunc
+        evaluating the same kernel either way override this with an
+        array path; this generic fallback evaluates the scalar quantile
+        per element, which is correct for every subclass.
         """
         p = _as_probability_array(p)
         return np.fromiter((self.ppf(float(v)) for v in p),
@@ -233,8 +275,8 @@ class Normal(Distribution):
         return self.mu + self.sigma * _big_phi_inv(p)
 
     def ppf_batch(self, p) -> np.ndarray:
-        # mu + sigma * z vectorizes exactly (IEEE ops are element-wise);
-        # the transcendental inverse CDF stays on the scalar kernel.
+        # mu + sigma * z vectorizes exactly (IEEE ops are element-wise),
+        # around the inverse CDF's exact array kernel.
         p = _check_open_unit(_as_probability_array(p))
         return self.mu + self.sigma * _big_phi_inv_batch(p)
 
@@ -310,8 +352,9 @@ class TruncatedNormal(Distribution):
 
     def ppf_batch(self, p) -> np.ndarray:
         # lo + p * mass and mu + sigma * z are exact element-wise IEEE
-        # arithmetic on the same scalar constants; only the inverse CDF
-        # needs the scalar kernel.
+        # arithmetic on the same scalar constants, around the inverse
+        # CDF's exact array kernel (which rejects an lo + p * mass that
+        # rounds to 0 or 1, as the scalar does).
         p = _check_open_unit(_as_probability_array(p))
         lo = _big_phi(self._alpha()) if not math.isinf(self.lower) else 0.0
         return self.mu + self.sigma * _big_phi_inv_batch(lo + p * self._mass())
@@ -408,9 +451,7 @@ class Exponential(Distribution):
         # Negation and division vectorize exactly; log1p stays on the
         # libm kernel (NumPy's SIMD log1p differs in the last ulp).
         p = _check_open_unit(_as_probability_array(p))
-        logs = np.fromiter((math.log1p(-float(v)) for v in p),
-                           dtype=np.float64, count=p.size)
-        return -logs / self.lam
+        return -_libm(math.log1p, -p) / self.lam
 
     @property
     def mean(self) -> float:
@@ -502,9 +543,7 @@ class LogNormal(Distribution):
         # The affine part vectorizes exactly; exp stays on the libm
         # kernel (NumPy's SIMD exp differs in the last ulp).
         p = _check_open_unit(_as_probability_array(p))
-        t = self.mu + self.sigma * _big_phi_inv_batch(p)
-        return np.fromiter((math.exp(float(v)) for v in t),
-                           dtype=np.float64, count=t.size)
+        return _libm(math.exp, self.mu + self.sigma * _big_phi_inv_batch(p))
 
     @property
     def mean(self) -> float:

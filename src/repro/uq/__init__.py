@@ -11,9 +11,10 @@ probabilities:
 * :mod:`repro.uq.sampling`    — seeded plain-MC and Latin-hypercube
   designs producing ``(n_samples, n_events)`` probability matrices via
   the vectorized ``ppf_batch``;
-* :mod:`repro.uq.propagate`   — the whole matrix through one compiled
-  batch: top-event probability distributions with credible intervals
-  and exceedance curves, bit-identical to the scalar reference loop;
+* :mod:`repro.uq.propagate`   — the design through one compiled batch
+  (or row block by row block, in the engine's chunks): top-event
+  probability distributions with credible intervals and exceedance
+  curves;
 * :mod:`repro.uq.sensitivity` — Saltelli-design Sobol first/total
   indices and a one-batch tornado ranking;
 * :mod:`repro.uq.robust`      — :class:`~repro.core.model.SafetyModel`
@@ -35,10 +36,11 @@ Quickstart::
 from repro.uq.propagate import (
     DEFAULT_PERCENTILES,
     PropagationResult,
+    evaluate_design,
     percentile,
     propagate,
+    propagation_design,
     propagation_matrix,
-    reference_propagate,
 )
 from repro.uq.robust import (
     RobustCostObjective,
@@ -79,8 +81,9 @@ __all__ = [
     "PropagationResult",
     "percentile",
     "propagate",
+    "propagation_design",
     "propagation_matrix",
-    "reference_propagate",
+    "evaluate_design",
     "SobolIndices",
     "TornadoEntry",
     "sobol_from_samples",

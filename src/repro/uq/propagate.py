@@ -9,11 +9,15 @@ through a compiled evaluator (:class:`~repro.compile.CompiledTape` /
 :class:`~repro.compile.CompiledCutSets`) — tens of thousands of exact
 quantifications as a handful of NumPy array sweeps.
 
-Results are **bit-identical** to the scalar per-sample reference loop
-(:func:`reference_propagate`) at the same seed: the compiled batch
-replays the scalar arithmetic element-wise, and the sampling design is a
-pure function of the seed — so shard and worker counts cannot perturb a
-published credible interval.
+A run is two steps.  :func:`propagation_design` draws the seeded
+uniform design, a pure function of the seed; :func:`evaluate_design`
+turns any row block of it into leaf probabilities (the distributions'
+``ppf_batch``) and evaluates them.  Every row is an independent
+element-wise computation, so the serial run and the engine's chunks
+(:func:`repro.engine.pool.run_uq_chunk`) take the same route and give
+the same doubles: shard and worker counts cannot perturb a published
+credible interval.  Each sample is bit-identical to a per-sample loop
+that fills its row with the scalar ``ppf`` and quantifies it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from repro.compile import compile_tree, supports_compilation
 from repro.errors import UQError
 from repro.fta.constraints import ConstraintPolicy
 from repro.fta.tree import FaultTree
-from repro.uq.sampling import probability_matrix
+from repro.uq.sampling import (
+    fill_probability_matrix,
+    probability_matrix,
+    uncertain_leaves,
+    uniform_matrix,
+)
 from repro.uq.spec import UncertainModel
 
 #: Percentiles reported by default (median plus a 90 % band).
@@ -176,13 +185,47 @@ def propagation_matrix(tree: FaultTree, model: UncertainModel,
                        ConstraintPolicy.INDEPENDENT) -> np.ndarray:
     """The exact leaf-probability matrix a propagation run evaluates.
 
-    Exposed so reference loops, benchmarks and engine shards all consume
-    *the same* IEEE doubles rather than re-deriving them.
+    :func:`propagation_design` filled whole — exposed so checks and
+    benchmarks consume *the same* IEEE doubles a run evaluates.
     """
     evaluator = _checked_evaluator(tree, method, policy)
     return probability_matrix(model, evaluator.leaf_names, n_samples,
                               seed=seed, sampler=sampler,
                               defaults=evaluator.defaults)
+
+
+def propagation_design(tree: FaultTree, model: UncertainModel,
+                       n_samples: int, seed: int = 0,
+                       sampler: str = "lhs", method: str = "exact",
+                       policy: ConstraintPolicy =
+                       ConstraintPolicy.INDEPENDENT) -> np.ndarray:
+    """The seeded uniform design a propagation run fills.
+
+    One column per uncertain leaf, in the evaluator's column order; a
+    pure function of ``(n_samples, len(model), seed, sampler)``.  The
+    engine builds it in the parent and ships row blocks of it.
+    """
+    evaluator = _checked_evaluator(tree, method, policy)
+    uncertain = uncertain_leaves(model, evaluator.leaf_names)
+    return uniform_matrix(n_samples, len(uncertain), seed=seed,
+                          sampler=sampler)
+
+
+def evaluate_design(tree: FaultTree, model: UncertainModel,
+                    uniforms: np.ndarray, method: str = "exact",
+                    policy: ConstraintPolicy =
+                    ConstraintPolicy.INDEPENDENT) -> np.ndarray:
+    """Top-event probabilities of a block of design rows.
+
+    Fills the rows into leaf probabilities
+    (:func:`~repro.uq.sampling.fill_probability_matrix`) and evaluates
+    them in one compiled batch — the route of :func:`propagate` and of
+    every engine chunk.
+    """
+    evaluator = _checked_evaluator(tree, method, policy)
+    matrix = fill_probability_matrix(model, evaluator.leaf_names,
+                                     uniforms, defaults=evaluator.defaults)
+    return evaluator.evaluate_matrix(matrix)
 
 
 def propagate(tree: FaultTree, model: UncertainModel,
@@ -192,41 +235,14 @@ def propagate(tree: FaultTree, model: UncertainModel,
               ) -> PropagationResult:
     """Sample the epistemic distribution of the top-event probability.
 
-    Builds the seeded probability matrix and quantifies every row in one
-    compiled batch.  Bit-identical to :func:`reference_propagate` at the
-    same arguments, and to any row-sharded execution of the same matrix.
+    Draws the seeded design and evaluates it whole through
+    :func:`evaluate_design`: bit-identical to any row-sharded execution
+    of the same design.
     """
-    evaluator = _checked_evaluator(tree, method, policy)
-    matrix = probability_matrix(model, evaluator.leaf_names, n_samples,
-                                seed=seed, sampler=sampler,
-                                defaults=evaluator.defaults)
-    values = evaluator.evaluate_matrix(matrix)
+    uniforms = propagation_design(tree, model, n_samples, seed=seed,
+                                  sampler=sampler, method=method,
+                                  policy=policy)
+    values = evaluate_design(tree, model, uniforms, method, policy)
     return PropagationResult(
-        name=tree.name, samples=tuple(float(v) for v in values),
+        name=tree.name, samples=tuple(values.tolist()),
         seed=int(seed), sampler=sampler, method=method)
-
-
-def reference_propagate(tree: FaultTree, model: UncertainModel,
-                        n_samples: int = 1000, seed: int = 0,
-                        sampler: str = "lhs", method: str = "exact",
-                        policy: ConstraintPolicy =
-                        ConstraintPolicy.INDEPENDENT
-                        ) -> PropagationResult:
-    """The scalar per-sample reference loop.
-
-    Quantifies the *same* seeded matrix row by row through the compiled
-    scalar path (plain floats, one dict per sample) — the oracle the
-    vectorized :func:`propagate` and the sharded engine job are pinned
-    against, and the baseline the UQ benchmark measures speedups over.
-    """
-    evaluator = _checked_evaluator(tree, method, policy)
-    matrix = probability_matrix(model, evaluator.leaf_names, n_samples,
-                                seed=seed, sampler=sampler,
-                                defaults=evaluator.defaults)
-    names = evaluator.leaf_names
-    values = [evaluator.scalar(
-        {name: float(row[j]) for j, name in enumerate(names)})
-        for row in matrix]
-    return PropagationResult(
-        name=tree.name, samples=tuple(values), seed=int(seed),
-        sampler=sampler, method=method)

@@ -9,19 +9,20 @@ Two designs over the unit hypercube, both deterministic functions of
   independently shuffled per event — orthogonal-main-effect style space
   coverage (cf. Bagchi, PAPERS.md) that beats plain MC at equal budget.
 
-The design matrix is generated *whole* and up front: Latin strata span
-the full sample set, and — more importantly — bit-identical results
-independent of worker and shard count require the design to be a pure
-function of the seed.  Parallelism in :mod:`repro.engine` therefore
-splits the finished matrix row-wise (each row's propagation is an
-independent element-wise computation) instead of seeding per-shard
-streams.
+The uniform design is drawn whole, in one process: Latin strata span
+the full sample set, and bit-identical results independent of worker
+and chunk count require the design to be a pure function of the seed.
+Parallelism in :mod:`repro.engine` therefore splits the finished
+uniform design row-wise instead of seeding per-shard streams; turning
+uniforms into probabilities is element-wise per row, so it runs in the
+chunks (see :func:`repro.uq.evaluate_design`).
 
-:func:`probability_matrix` turns uniforms into the ``(n_samples,
-n_events)`` leaf-probability matrix the compiled evaluators consume:
-uncertain columns through the vectorized
-:meth:`~repro.stats.distributions.Distribution.ppf_batch` (clipped into
-``[0, 1]``), certain columns held at their default probabilities.
+:func:`fill_probability_matrix` turns uniforms into the ``(n_samples,
+n_leaves)`` leaf-probability matrix the compiled evaluators consume:
+uncertain columns through the array quantile kernels
+(:meth:`~repro.stats.distributions.Distribution.ppf_batch`, clipped
+into ``[0, 1]``), certain columns held at their default probabilities.
+:func:`probability_matrix` is the design and the fill in one call.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from repro.compile import (
 )
 from repro.fta.constraints import ConstraintPolicy
 from repro.fta.quantify import hazard_probability
-from repro.sim.montecarlo import monte_carlo_counts
 
+from tests._oracles.montecarlo import walk_counts
 from tests.compile.conftest import random_batch, random_tree
 
 TOLERANCE = 1e-12
@@ -70,8 +70,7 @@ def test_sampler_counts_match_interpreted(seed):
              for name in CompiledSampler(tree).leaf_names}
     vectorized = CompiledSampler(tree).counts(probs, samples=400,
                                               seed=seed)
-    interpreted = monte_carlo_counts(tree, probs, samples=400, seed=seed,
-                                     vectorized=False)
+    interpreted = walk_counts(tree, probs, samples=400, seed=seed)
     assert vectorized == interpreted
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.compile import CompiledSampler, compile_sampler
+from repro.compile.sampler import replay_stream
 from repro.elbtunnel.faulttrees import fig2_fault_tree
 from repro.errors import SimulationError
 from repro.fta.dsl import (
@@ -20,7 +21,8 @@ from repro.fta.dsl import (
     primary,
 )
 from repro.fta.tree import FaultTree
-from repro.sim.montecarlo import monte_carlo_counts
+
+from tests._oracles.montecarlo import walk_counts
 
 
 def kofn_tree():
@@ -82,9 +84,17 @@ class TestCounts:
                          CompiledSampler(tree).leaf_names}
             vectorized = CompiledSampler(tree).counts(
                 probs, samples=2000, seed=13)
-            interpreted = monte_carlo_counts(tree, probs, samples=2000,
-                                             seed=13, vectorized=False)
+            interpreted = walk_counts(tree, probs, samples=2000,
+                                      seed=13)
             assert vectorized == interpreted
+
+    @pytest.mark.parametrize("make_tree", [mixed_tree, kofn_tree])
+    def test_matches_the_walk_across_blocks(self, make_tree):
+        import repro.compile.sampler as sampler_module
+        tree = make_tree()
+        samples = 2 * sampler_module._BLOCK + 37
+        assert CompiledSampler(tree).counts(samples=samples, seed=9) \
+            == walk_counts(tree, samples=samples, seed=9)
 
     def test_blocks_preserve_the_draw_stream(self, monkeypatch):
         import repro.compile.sampler as sampler_module
@@ -128,3 +138,23 @@ class TestCounts:
         tree_off = FaultTree(hazard("H", OR_gate=[house("OFF", False)]))
         assert CompiledSampler(tree_off).counts(samples=50, seed=0) \
             == (0, 50)
+
+
+class TestStreamReplay:
+    """The NumPy stream continues ``random.Random(seed)`` exactly."""
+
+    @pytest.mark.parametrize("seed", [0, 1, -5, 2**63 + 5, 2**200 + 3])
+    def test_draw_for_draw(self, seed):
+        # Seeds span derive_seed's 64-bit range, a negative seed and one
+        # wider than any state word; the draws cross two block
+        # boundaries of the corridor tree's block shape.
+        shape = (1 << 12, 129)
+        rng = random.Random(seed)
+        expected = np.array([rng.random()
+                             for _ in range(7 + shape[0] * shape[1] + 11)])
+        stream = replay_stream(seed)
+        replayed = np.concatenate([stream.random(7),
+                                   stream.random(shape).ravel(),
+                                   stream.random(11)])
+        assert np.array_equal(replayed.view(np.uint64),
+                              expected.view(np.uint64))

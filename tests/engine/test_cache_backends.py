@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import sys
 import threading
 import time
 
@@ -30,6 +31,7 @@ from repro.engine.cache import MISS
 from repro.errors import EngineError
 from repro.fta import FaultTree
 from repro.fta.dsl import AND, hazard, primary
+from tests.engine._connections import needs_proc_fds, store_connections
 
 
 def small_tree() -> FaultTree:
@@ -348,8 +350,14 @@ class TestSqliteSpecific:
     def test_wal_mode_is_active(self, tmp_path):
         cache = SqliteCache(str(tmp_path / "w.db"))
         cache.put("k", 1.0)
-        mode = cache._conn().execute(
-            "PRAGMA journal_mode").fetchone()[0]
+        # WAL mode is a property of the store file: a fresh connection
+        # reads it back.
+        probe = sqlite3.connect(str(tmp_path / "w.db"))
+        try:
+            mode = probe.execute("PRAGMA journal_mode").fetchone()[0]
+        finally:
+            probe.close()
+        cache.close()
         assert mode == "wal"
 
     def test_save_to_other_path_backs_up(self, tmp_path):
@@ -412,6 +420,89 @@ class TestSqliteSpecific:
         assert errors == []
         assert cache.stats.hits == 8 * 40
         assert cache.stats.puts == 16 + 8 * 40
+
+    @needs_proc_fds
+    def test_connections_are_bounded_by_concurrent_users(self, tmp_path):
+        path = str(tmp_path / "pool.db")
+        cache = SqliteCache(path)
+        cache.put("k", 1.0)
+        for _ in range(50):   # sequential threads, one at a time
+            worker = threading.Thread(target=cache.get, args=("k",))
+            worker.start()
+            worker.join()
+        assert store_connections(path) == 1
+        cache.close()
+
+    @needs_proc_fds
+    def test_close_closes_connections_of_other_threads(self, tmp_path):
+        path = str(tmp_path / "threads.db")
+        cache = SqliteCache(path)
+        cache.close()
+        helper = threading.Thread(target=cache.put, args=("k", 1.0))
+        helper.start()
+        helper.join()
+        assert store_connections(path) == 1
+        cache.close()
+        assert store_connections(path) == 0
+        # The last connection checkpointed and removed the companions.
+        assert not os.path.exists(path + "-wal")
+        assert not os.path.exists(path + "-shm")
+        reopened = SqliteCache(path)
+        assert reopened.get("k") == 1.0
+        reopened.close()
+
+    @needs_proc_fds
+    def test_close_after_contended_use_leaves_no_connection(self,
+                                                            tmp_path):
+        """More threads than cores check connections in and out with a
+        short switch interval: a connection lost from the pool would
+        stay open after close()."""
+        path = str(tmp_path / "contended.db")
+        cache = SqliteCache(path)
+        cache.put("k", 1.0)
+        errors = []
+
+        def hammer(index):
+            try:
+                for i in range(30):
+                    assert cache.get("k") == 1.0
+                    cache.put(f"t{index}-{i}", float(i))
+            except BaseException as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 1 <= store_connections(path) <= len(threads)
+        cache.close()
+        assert store_connections(path) == 0
+        reopened = SqliteCache(path)
+        assert len(reopened) == 1 + 8 * 30
+        reopened.close()
+
+    def test_close_waits_for_a_busy_connection(self, tmp_path):
+        """A connection in use when close() runs is closed when its
+        operation ends, not under it."""
+        cache = SqliteCache(str(tmp_path / "busy.db"))
+        cache.put("k", 1.0)
+        with cache._connection() as conn:
+            cache.close()
+            assert conn.execute("SELECT COUNT(*) FROM cache"
+                                ).fetchone()[0] == 1
+        with pytest.raises(sqlite3.ProgrammingError):
+            conn.execute("SELECT 1")
+        assert cache.get("k") == 1.0
+        cache.close()
 
 
 def _read_worker(path, keys, out):

@@ -15,6 +15,7 @@ from repro.engine import Engine, SqliteCache, job_from_spec
 from repro.errors import ServeError
 from repro.serve import RiskServer, ServeClient, ServerConfig
 from tests.engine._bad_specs import BAD_SPECS
+from tests.engine._connections import needs_proc_fds, store_connections
 
 QUANTIFY = {"type": "quantify", "tree": "corridor", "method": "exact"}
 MONTECARLO = {"type": "montecarlo", "tree": "corridor",
@@ -291,6 +292,35 @@ class TestShutdown:
             ack = c.shutdown_server()
         assert ack["status"] == "shutting down"
         assert self.wait_down(instance)
+
+    @needs_proc_fds
+    def test_client_connections_do_not_leak_store_connections(
+            self, tmp_path):
+        path = str(tmp_path / "s.db")
+        instance = RiskServer(ServerConfig(port=0, workers=1,
+                                           cache_path=path)).start()
+        try:
+            # Each client connection is served by its own thread.
+            for _ in range(200):
+                with ServeClient(instance.host, instance.port,
+                                 timeout=30.0) as c:
+                    assert c.results([QUANTIFY])[0]["result"] > 0.0
+            assert store_connections(path) <= 4
+        finally:
+            instance.shutdown(drain=True, timeout=10.0)
+        assert store_connections(path) == 0
+
+    def test_shutdown_closes_the_store(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        instance = RiskServer(ServerConfig(port=0, workers=1,
+                                           cache_path=path)).start()
+        with ServeClient(instance.host, instance.port, timeout=30.0) as c:
+            c.results([QUANTIFY])
+            c.results([QUANTIFY])
+        instance.shutdown(drain=True, timeout=10.0)
+        assert os.path.exists(path)
+        assert not os.path.exists(path + "-wal")
+        assert not os.path.exists(path + "-shm")
 
     def test_draining_server_rejects_new_work(self):
         instance = RiskServer(ServerConfig(port=0)).start()

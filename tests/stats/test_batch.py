@@ -47,14 +47,39 @@ ALL_DISTRIBUTIONS = [
 IDS = [f"{type(d).__name__}-{i}" for i, d in enumerate(ALL_DISTRIBUTIONS)]
 
 
+#: Acklam's tail/central breakpoints of the inverse normal CDF.
+BREAKPOINTS = np.array([0.02425, 1.0 - 0.02425])
+
+#: Inputs where the ppf kernels switch branch or reach the domain's
+#: ends: both breakpoints with their neighbouring doubles, the centre,
+#: the UQ designs' clamp bounds, the smallest subnormal and the largest
+#: double below 1.
+EDGES = np.concatenate([
+    BREAKPOINTS,
+    np.nextafter(BREAKPOINTS, 0.0),
+    np.nextafter(BREAKPOINTS, 1.0),
+    [0.5, 1e-12, 1.0 - 1e-12, 5e-324, np.nextafter(1.0, 0.0)],
+])
+
+#: Deep-tail inputs whose quantile changes when the Newton step's density
+#: uses NumPy's ``exp`` instead of libm's (7 of 2.2M random inputs on an
+#: x86-64 machine with NumPy 2.4): they keep that call on libm.
+EXP_WITNESSES = np.array([
+    5.608207276356693e-69, 7.877697873346074e-126, 9.704892615962201e-133,
+    3.975413724859911e-45, 3.207146736343614e-155, 4.3366596717516073e-103,
+    4.049641546644922e-133,
+])
+
+
 def probability_grid(seed: int = 0, n: int = 4000) -> np.ndarray:
-    """Uniforms covering the bulk and both extreme tails."""
+    """Uniforms covering the bulk, both extreme tails and the edges."""
     rng = np.random.default_rng(seed)
     bulk = rng.random(n)
     low_tail = 10.0 ** rng.uniform(-300.0, -2.0, 200)
     high_tail = 1.0 - 10.0 ** rng.uniform(-15.0, -2.0, 200)
     grid = np.concatenate([bulk, low_tail, high_tail])
-    return np.clip(grid, 1e-300, 1.0 - 1e-16)
+    return np.concatenate([np.clip(grid, 1e-300, 1.0 - 1e-16), EDGES,
+                           EXP_WITNESSES])
 
 
 class TestPpfBatch:
@@ -64,7 +89,9 @@ class TestPpfBatch:
         batch = dist.ppf_batch(p)
         scalar = np.array([dist.ppf(float(v)) for v in p])
         assert batch.dtype == np.float64
-        assert np.array_equal(batch, scalar)
+        # Raw bits: array_equal would equate -0.0 with 0.0.
+        assert np.array_equal(batch.view(np.uint64),
+                              scalar.view(np.uint64))
 
     @pytest.mark.parametrize("dist", ALL_DISTRIBUTIONS, ids=IDS)
     def test_empty_batch(self, dist):
@@ -91,6 +118,16 @@ class TestPpfBatch:
             [2.0, 4.0]
         assert PointMass(0.3).ppf_batch([0.0, 1.0]).tolist() == \
             [0.3, 0.3]
+
+    def test_kernel_argument_outside_domain_raises(self):
+        """lo + p * mass rounds 5e-324 to 0.0 here: the inverse normal
+        kernel must report it as the scalar does, not leak a math
+        domain error from log(0)."""
+        dist = TruncatedNormal(0.0, 1.0, lower=-40.0, upper=0.0)
+        with pytest.raises(DistributionError):
+            dist.ppf(5e-324)
+        with pytest.raises(DistributionError):
+            dist.ppf_batch([0.3, 5e-324])
 
     def test_rejects_matrix_input(self):
         with pytest.raises(DistributionError):

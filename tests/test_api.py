@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -100,3 +104,23 @@ def test_no_cross_contamination_of_names():
     from repro.fta import FaultTree as c
     from repro.fta.tree import FaultTree as d
     assert c is d
+
+
+def test_startup_imports_no_scipy():
+    """The entry points load without SciPy: importing it costs more
+    than the rest of the library, and only Beta/Gamma quantiles and
+    the scipy optimizer bridge use it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [p for p in (src, env.get("PYTHONPATH")) if p])
+    code = ("import json, sys\n"
+            "import repro.engine, repro.serve, repro.cli, repro.uq\n"
+            "import repro.elbtunnel, repro.core\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert json.loads(out.stdout) == []

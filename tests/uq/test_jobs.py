@@ -8,7 +8,9 @@ from repro.elbtunnel import corridor_fault_tree, corridor_uncertain_model
 from repro.engine import Engine, UncertaintyJob
 from repro.errors import EngineError
 from repro.stats import Uniform
-from repro.uq import UncertainModel, from_error_factors, reference_propagate
+from repro.uq import from_error_factors
+
+from tests._oracles.uq import loop_propagate
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +55,20 @@ class TestDeterminism:
             results.append(engine.run(job))
         assert results[0].samples == results[1].samples
         assert results[0].samples == results[2].samples
-        reference = reference_propagate(tree, model, n_samples=96,
-                                        seed=11, sampler="lhs")
+        reference = loop_propagate(tree, model, n_samples=96,
+                                   seed=11, sampler="lhs")
         assert results[0].samples == reference.samples
+
+    @pytest.mark.parametrize("chunks", [1, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_chunks_match_the_loop_oracle(self, tree, model, workers,
+                                          chunks):
+        job = UncertaintyJob(tree, model, samples=40, seed=5,
+                             sampler="lhs", chunks=chunks)
+        reference = loop_propagate(tree, model, n_samples=40, seed=5,
+                                   sampler="lhs")
+        assert Engine(workers=workers).run(job).samples \
+            == reference.samples
 
     def test_bit_identical_across_chunk_counts(self, tree, model):
         results = []
@@ -148,6 +161,6 @@ class TestSmallModelsThroughJobs:
         result = Engine(workers=1).run(
             UncertaintyJob(bridge_tree, model, samples=40, seed=0))
         assert result.n_samples == 40
-        reference = reference_propagate(bridge_tree, model,
-                                        n_samples=40, seed=0)
+        reference = loop_propagate(bridge_tree, model,
+                                   n_samples=40, seed=0)
         assert result.samples == reference.samples

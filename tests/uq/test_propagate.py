@@ -14,8 +14,9 @@ from repro.uq import (
     percentile,
     propagate,
     propagation_matrix,
-    reference_propagate,
 )
+
+from tests._oracles.uq import loop_propagate
 
 
 @pytest.fixture
@@ -43,8 +44,8 @@ class TestPropagate:
         for sampler in ("mc", "lhs"):
             fast = propagate(bridge_tree, model, n_samples=200, seed=3,
                              sampler=sampler)
-            slow = reference_propagate(bridge_tree, model, n_samples=200,
-                                       seed=3, sampler=sampler)
+            slow = loop_propagate(bridge_tree, model, n_samples=200,
+                                  seed=3, sampler=sampler)
             assert fast == slow           # dataclass equality: all fields
             assert fast.samples == slow.samples
 
