@@ -13,20 +13,17 @@ Workloads:
 
 * the largest Elbtunnel tree (:func:`corridor_fault_tree`) — the
   headline ``>= 5x`` acceptance measurement;
-* the paper's Fig. 2 tree — small-tree overhead check (recorded, no
+* the paper's Fig. 2 tree — small-tree overhead check (reported, no
   speedup gate: at seven leaves both kernels are interpreter-bound);
 * a synthetic wide K-of-N voting tree — stresses apply and the
   quadratic absorption the bitmask rewrite removed;
 * a synthetic 5,000-gate deep chain — arena-only: the seed kernel's
   recursion blows the stack, which is the point of the explicit-stack
-  rewrite (recorded with ``seed_s: null``).
+  rewrite (reported without a seed time).
 
-Set ``BENCH_BDD_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_bdd.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -48,19 +45,6 @@ from tests.bdd._reference import (
 )
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-#: Collected measurements, dumped to BENCH_BDD_JSON at session end.
-_RESULTS = {}
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_BDD_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
-
 
 def leaf_probabilities(tree):
     """Uniform leaf probabilities (values don't matter for timing)."""
@@ -118,13 +102,11 @@ def timed_speedup(tree, iters):
 def test_elbtunnel_corridor_cold_path(report):
     """Acceptance: >= 5x on the largest Elbtunnel tree (the full run;
     the CI quick smoke uses a looser floor to absorb shared-runner
-    timing noise — the measured ratio ships in BENCH_bdd.json either
+    timing noise — the report table shows the measured ratio either
     way)."""
     tree = corridor_fault_tree(sections=72)
     seed_s, arena_s, speedup, cuts = timed_speedup(
         tree, iters=5 if QUICK else 10)
-    _record("elbtunnel_corridor", tree=tree.name, cut_sets=cuts,
-            seed_s=seed_s, arena_s=arena_s, speedup=speedup)
     report(format_table(
         ["kernel", "time [s]", "cut sets"],
         [["seed (linked nodes, frozensets)", f"{seed_s:.4f}", cuts],
@@ -138,13 +120,11 @@ def test_elbtunnel_corridor_cold_path(report):
 
 
 def test_elbtunnel_fig2_cold_path(report):
-    """The paper's own (seven-leaf) tree: recorded, no speedup gate —
+    """The paper's own (seven-leaf) tree: reported, no speedup gate —
     at this size both kernels are bound by interpreter overhead."""
     tree = fig2_fault_tree()
     seed_s, arena_s, speedup, cuts = timed_speedup(
         tree, iters=50 if QUICK else 300)
-    _record("elbtunnel_fig2", tree=tree.name, cut_sets=cuts,
-            seed_s=seed_s, arena_s=arena_s, speedup=speedup)
     report(format_table(
         ["kernel", "time [s]", "cut sets"],
         [["seed", f"{seed_s:.4f}", cuts],
@@ -164,8 +144,6 @@ def test_wide_voting_cold_path(report):
                 for i in range(width)]
     tree = FaultTree(hazard("H", gate=KOFN("vote", 3, *branches).gate))
     seed_s, arena_s, speedup, cuts = timed_speedup(tree, iters=3)
-    _record("wide_voting", width=width, cut_sets=cuts,
-            seed_s=seed_s, arena_s=arena_s, speedup=speedup)
     report(format_table(
         ["kernel", "time [s]", "cut sets"],
         [["seed", f"{seed_s:.4f}", cuts],
@@ -180,7 +158,7 @@ def test_wide_voting_cold_path(report):
 def test_deep_chain_arena_only(report):
     """5,000-gate chain: completes on the arena kernel; the seed
     kernel's recursive traversals cannot run it at all (RecursionError),
-    so its time is recorded as null."""
+    so only the arena time is reported."""
     depth = 1_000 if QUICK else 5_000
     tree = build_chain_tree(depth)
     probs = leaf_probabilities(tree)
@@ -190,8 +168,6 @@ def test_deep_chain_arena_only(report):
     arena_s = time.perf_counter() - start
     assert isinstance(collection, list) and prob >= 0.0
     assert {cs.failures for cs in collection} == set(cuts)
-    _record("deep_chain", depth=depth, cut_sets=len(cuts),
-            seed_s=None, arena_s=arena_s, speedup=None)
     report(format_table(
         ["kernel", "time [s]", "cut sets"],
         [["seed", "RecursionError", ""],

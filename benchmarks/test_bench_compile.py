@@ -11,12 +11,9 @@ vectorized Monte Carlo sampler:
 * the vectorized sampler beats the per-sample structure-function walk,
   bit-for-bit.
 
-Set ``BENCH_COMPILE_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_compile.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -30,19 +27,6 @@ from repro.viz import format_table
 from tests._oracles.montecarlo import walk_counts
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-#: Collected measurements, dumped to BENCH_COMPILE_JSON at session end.
-_RESULTS = {}
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_COMPILE_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
-
 
 def voting_tree(width: int = 12) -> "FaultTree":
     """A 3-of-``width`` vote over AND pairs — 2*width BDD variables.
@@ -94,9 +78,6 @@ def test_compiled_exact_sweep_speedup(report):
                 in zip(compiled.values, interpreted.values))
     assert delta <= 1e-12
     speedup = cold / fast if fast > 0 else float("inf")
-    _record("exact_sweep", points=len(compiled),
-            interpreted_s=cold, compiled_s=fast, speedup=speedup,
-            max_abs_delta=delta)
     report(format_table(
         ["run", "time [s]", "points"],
         [["interpreted (exact BDD per point)", f"{cold:.4f}",
@@ -124,8 +105,6 @@ def test_compiled_cutset_sweep_speedup(report):
 
     assert compiled == interpreted
     speedup = cold / fast if fast > 0 else float("inf")
-    _record("cutset_sweep", points=len(compiled),
-            interpreted_s=cold, compiled_s=fast, speedup=speedup)
     report(format_table(
         ["run", "time [s]", "points"],
         [["interpreted (per-point cut sets)", f"{cold:.4f}",
@@ -153,9 +132,6 @@ def test_vectorized_sampler_speedup(report):
 
     assert vectorized == interpreted  # bit-for-bit, not approximately
     speedup = slow / fast if fast > 0 else float("inf")
-    _record("sampler", samples=samples, interpreted_s=slow,
-            compiled_s=fast, speedup=speedup,
-            occurrences=vectorized[0])
     report(format_table(
         ["run", "time [s]", "occurrences"],
         [["interpreted (per-sample walk)", f"{slow:.4f}",

@@ -12,13 +12,9 @@ The engine's performance claims, measured on the Elbtunnel trees:
   the store and reading their own slice of hot entries (the serve/CI
   deployment pattern), and every reader finds every entry.
 
-Cold/warm/contended timings land in the ``backend_sqlite`` entry of
-``BENCH_ENGINE_JSON`` (the CI benchmark-smoke job uploads it as
-``BENCH_engine.json``); set ``BENCH_QUICK=1`` to shrink the workloads
-for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import multiprocessing
 import os
 import threading
@@ -46,19 +42,6 @@ from repro.fta.dsl import AND, KOFN, hazard, primary
 from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-#: Collected measurements, dumped to BENCH_ENGINE_JSON at each record.
-_RESULTS = {}
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_ENGINE_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
-
 
 #: Scaled configuration (as in the Monte Carlo benchmark): realistic
 #: hazard probabilities (~1e-4) would need 1e8 samples to resolve.
@@ -90,7 +73,7 @@ class PerPointSweepJob(SweepJob):
     this job wrote.
     """
 
-    def run_serial(self):
+    def run(self, pool):
         return self._result([
             hazard_probability(self.tree, overrides, method=self.method,
                                policy=self.policy)
@@ -130,8 +113,6 @@ def test_warm_cache_sweep_speedup(report):
           len(warm_result)],
          ["speedup", f"{speedup:.0f}x", ""]],
         title="Engine — warm-cache repeat of a Fig. 5-shaped sweep"))
-    _record("warm_cache_sweep", cold_s=cold, warm_s=warm,
-            speedup=speedup, points=len(cold_result))
     assert speedup >= 10.0, \
         f"warm cache only {speedup:.1f}x faster than cold run"
 
@@ -168,8 +149,6 @@ def test_monte_carlo_shard_scaling(report):
         ["workers", "time [s]", "speedup vs serial"], rows,
         title=f"Engine — Monte Carlo shard scaling "
               f"({job.samples} samples, {shards} shards)"))
-    _record("monte_carlo_shard_scaling",
-            **{f"workers_{w}_s": t for w, t in timings.items()})
     if (os.cpu_count() or 1) >= 2 and 2 in timings:
         # Near-linear on unloaded multi-core hardware; asserted loosely
         # so a busy CI box cannot flake the suite.
@@ -256,24 +235,22 @@ def _contended_worker(path, offset, out):
         cache.close()
 
 
-def _contended_processes(path: str):
-    """Returns (aggregate reader CPU seconds, wall seconds)."""
+def _contended_processes(path: str) -> float:
+    """Aggregate reader CPU seconds."""
     context = multiprocessing.get_context("fork")
     out = context.Queue()
     procs = [context.Process(target=_contended_worker,
                              args=(path, offset, out))
              for offset in range(PROCESSES)]
-    start = time.perf_counter()
     for proc in procs:
         proc.start()
     results = [out.get(timeout=120) for _ in procs]
     for proc in procs:
         proc.join(timeout=120)
-    wall = time.perf_counter() - start
     expected = [len(_keys()[offset::PROCESSES])
                 for offset in range(PROCESSES)]
     assert [found for found, _ in results] == expected
-    return sum(elapsed for _, elapsed in results), wall
+    return sum(elapsed for _, elapsed in results)
 
 
 def _contended_threads(path: str) -> float:
@@ -316,7 +293,7 @@ def test_backend_cold_warm_contended(report, backend_stores):
     path, cold = backend_stores
     warm = _warm_read(path)
     threaded = _contended_threads(path)
-    contended, contended_wall = _contended_processes(path)
+    contended = _contended_processes(path)
     report(format_table(
         ["store", "cold write [s]", "warm read [s]",
          f"{THREADS}-thread warm [s]",
@@ -325,14 +302,6 @@ def test_backend_cold_warm_contended(report, backend_stores):
           f"{contended:.4f}"]],
         title=f"Engine — sqlite store, {N_ENTRIES} sweep-shaped "
               f"entries ({FLOATS_PER_ENTRY} floats each)"))
-    _record("backend_sqlite",
-            cold_write_s=cold, warm_read_s=warm,
-            contended_threads_s=threaded,
-            contended_processes_cpu_s=contended,
-            contended_processes_wall_s=contended_wall,
-            entries=N_ENTRIES, thread_reads_per_worker=READS,
-            process_reads_per_worker=N_ENTRIES // PROCESSES,
-            processes=PROCESSES, threads=THREADS)
 
 
 def test_backend_warm_hit_equivalence(backend_stores):

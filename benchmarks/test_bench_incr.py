@@ -9,12 +9,9 @@ speedup on the full corridor (>=2x in quick mode), with every warm
 value bit-identical to the monolithic exact quantification.  A second
 bench pins the sifting win on an adversarial declaration order.
 
-Set ``BENCH_INCR_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_incr.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -29,9 +26,6 @@ from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Collected measurements, dumped to BENCH_INCR_JSON at session end.
-_RESULTS = {}
-
 SECTIONS = 16 if QUICK else 64
 SPEEDUP_FLOOR = 2.0 if QUICK else 20.0
 
@@ -44,15 +38,6 @@ RATE_CYCLES = [
      for step in range(EDITS_PER_CYCLE)]
     for cycle in range(CYCLES)
 ]
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_INCR_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
 
 
 def test_warm_edit_beats_cold_recompile(report):
@@ -103,11 +88,6 @@ def test_warm_edit_beats_cold_recompile(report):
         f"recompilation (floor {SPEEDUP_FLOOR}x)")
     stats = session.stats.as_dict()
     assert stats["module_compiles"] == 1
-    _record("corridor_single_event_edit",
-            sections=SECTIONS, edits=EDITS_PER_CYCLE, cycles=CYCLES,
-            cold_s=cold_s, warm_s=warm_s, speedup=speedup,
-            module_compiles=stats["module_compiles"],
-            requantifications=stats["requantifications"])
     report(format_table(
         ["sections", "edits", "cold s", "warm s", "speedup"],
         [[str(SECTIONS), str(EDITS_PER_CYCLE), f"{cold_s:.3f}",
@@ -134,9 +114,6 @@ def test_sifting_shrinks_adversarial_order(report):
     sift_s = time.perf_counter() - start
     assert result.shrank
     assert result.size_after < result.size_before // 4
-    _record("sift_adversarial", n=n, size_before=result.size_before,
-            size_after=result.size_after, swaps=result.swaps,
-            seconds=sift_s)
     report(f"sifting n={n}: {result.size_before} -> "
            f"{result.size_after} nodes "
            f"({result.swaps} swaps, {sift_s * 1e3:.1f} ms)")

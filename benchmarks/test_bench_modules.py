@@ -5,12 +5,9 @@ small BDD; this bench measures the speedup on trees of growing width,
 verifies exact agreement with monolithic quantification, and times the
 linear-visit-date module detector on wide and chain-shaped trees.
 
-Set ``BENCH_MODULES_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_modules.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -27,20 +24,8 @@ from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Collected measurements, dumped to BENCH_MODULES_JSON at session end.
-_RESULTS = {}
-
 WIDTHS = [4, 16] if QUICK else [4, 16, 48]
 CHAIN_DEPTH = 1000 if QUICK else 5000
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_MODULES_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
 
 
 def _best_of(fn, repeats=2):
@@ -81,9 +66,6 @@ def test_modular_vs_monolithic(report):
         mod_s, modular = _best_of(
             lambda: modular_probability(tree, method="exact"))
         assert modular == pytest.approx(mono, rel=1e-12)
-        _record(f"quantify_{blocks}_blocks",
-                monolithic_s=mono_s, modular_s=mod_s,
-                probability=modular)
         rows.append([str(blocks), f"{mono_s * 1e3:.2f}",
                      f"{mod_s * 1e3:.2f}", f"{modular:.3e}"])
     report(format_table(
@@ -96,7 +78,6 @@ def test_module_detection_wide(report):
     tree = wide_modular_tree(blocks)
     elapsed, modules = _best_of(lambda: find_modules(tree))
     assert len(modules) == blocks
-    _record("detect_wide_32", seconds=elapsed, modules=len(modules))
     report(f"module detection, {blocks} blocks: "
            f"{elapsed * 1e3:.2f} ms")
 
@@ -111,6 +92,5 @@ def test_module_detection_chain(report):
     elapsed, modules = _best_of(lambda: find_modules(tree))
     assert [m.root for m in modules] == ["side"]
     assert elapsed < 1.0
-    _record("detect_chain", depth=CHAIN_DEPTH, seconds=elapsed)
     report(f"module detection, {CHAIN_DEPTH}-gate chain: "
            f"{elapsed * 1e3:.2f} ms")

@@ -9,12 +9,9 @@ The resilience layer's two performance claims:
   chaos run finishes within a small multiple of the fault-free wall
   time, never a hang.
 
-Set ``BENCH_RESILIENCE_JSON`` to a path to dump the measurements (the
-CI chaos job uploads it as ``BENCH_resilience.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -27,21 +24,9 @@ from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Collected measurements, dumped to BENCH_RESILIENCE_JSON.
-_RESULTS = {}
-
 #: A spec that keeps every hook live but never fires: the pure
 #: bookkeeping cost of an attached plan.
 _NEVER = 10 ** 9
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_RESILIENCE_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
 
 
 def _fig5_sweep_specs(points):
@@ -109,8 +94,6 @@ def test_fault_free_hook_overhead(report, tmp_path):
          ["hook overhead", f"{overhead:+.2%}"]],
         title="Resilience — armed-but-silent fault hooks on a warm "
               "Fig. 5 sweep"))
-    _record("fault_free_hook_overhead", points=len(specs),
-            bare_s=bare, hooked_s=hooked, overhead=overhead)
     # 5 % relative budget, with a 5 ms absolute grace so scheduler
     # noise on a millisecond-scale sweep cannot fail the gate.
     assert hooked < bare * 1.05 + 0.005, \
@@ -147,9 +130,6 @@ def test_crash_recovery_wall_time_is_bounded(report):
          ["slowdown vs serial", f"{ratio:.2f}x"],
          ["shards recovered serially", pool.recovered]],
         title="Resilience — worker crash mid-map, serial re-execution"))
-    _record("crash_recovery_wall_time", shards=shards, samples=samples,
-            serial_s=serial_wall, chaos_s=chaos_wall, ratio=ratio,
-            recovered=pool.recovered)
     # Bounded: a crashed executor costs at most a restart plus a
     # serial re-run of the lost shards — far from a hang, and on the
     # same order as running everything serially in the first place.

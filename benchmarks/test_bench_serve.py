@@ -10,9 +10,7 @@ a loopback socket:
   one engine computation — the other K-1 coalesce onto the leader and
   receive byte-equal results.
 
-Set ``BENCH_SERVE_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_serve.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
 import json
@@ -25,9 +23,6 @@ from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
-#: Collected measurements, dumped to BENCH_SERVE_JSON at session end.
-_RESULTS = {}
-
 #: The Fig. 5 operating point: the collision tree quantified exactly at
 #: the paper's optimal detection thresholds (OT1/OT2 at their tuned
 #: failure probabilities).
@@ -38,15 +33,6 @@ FIG5_QUANTIFY = {
     "probabilities": {"OT1": 0.01, "OT2": 0.01,
                       "Other collision causes": 0.001},
 }
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_SERVE_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
 
 
 def _percentile(samples, q):
@@ -109,9 +95,6 @@ def test_warm_cache_throughput(report):
          ["latency p50 [ms]", f"{p50 * 1e3:.2f}"],
          ["latency p99 [ms]", f"{p99 * 1e3:.2f}"]],
         title="Serve — warm-cache Fig. 5 quantification over HTTP"))
-    _record("warm_cache_throughput", requests=total, clients=clients,
-            wall_s=elapsed, rps=rps, p50_ms=p50 * 1e3,
-            p99_ms=p99 * 1e3)
     assert rps >= 100.0, \
         f"warm-cache service only sustained {rps:.0f} req/s"
 
@@ -167,7 +150,3 @@ def test_concurrent_identical_submissions_coalesce(report):
          ["wall time [s]", f"{elapsed:.3f}"]],
         title=f"Serve — request coalescing "
               f"({samples} Monte Carlo samples)"))
-    _record("request_coalescing", submissions=k, executed=executed,
-            coalesced=coalesced, cache_hits=cache_hits,
-            coalesce_rate=(k - 1) / k, wall_s=elapsed,
-            samples=samples)

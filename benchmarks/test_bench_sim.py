@@ -7,13 +7,10 @@ every replication's counters must be **bit-identical** to the scalar
 kernel at the same seed (the scalar path is the oracle, not an
 approximation).
 
-Set ``BENCH_SIM_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_sim.json``); set
-``BENCH_QUICK=1`` to shrink the auxiliary workloads for smoke runs (the
-acceptance workload itself always runs at full size).
+Set ``BENCH_QUICK=1`` to shrink the auxiliary workloads for smoke runs
+(the acceptance workload itself always runs at full size).
 """
 
-import json
 import os
 import time
 from dataclasses import replace
@@ -41,19 +38,6 @@ CORRIDOR = SimulationConfig(
                           hv_odfinal_rate=0.13),
     seed=0)
 
-#: Collected measurements, dumped to BENCH_SIM_JSON at session end.
-_RESULTS = {}
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_SIM_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
-
-
 def test_batched_replication_speedup(report):
     replications = 64
     seeds = replication_seeds(CORRIDOR.seed, replications)
@@ -72,11 +56,6 @@ def test_batched_replication_speedup(report):
             f"replication {index} (seed {seeds[index]}) is not " \
             f"bit-identical to the scalar kernel"
     speedup = slow / fast if fast > 0 else float("inf")
-    pooled = batch.pooled()
-    _record("batched_replications", replications=replications,
-            days=CORRIDOR.duration / (60.0 * 24),
-            sequential_s=slow, batched_s=fast, speedup=speedup,
-            pooled_alarm_fraction=pooled.correct_ohv_alarm_fraction)
     report(format_table(
         ["run", "time [s]", "replications"],
         [["sequential scalar simulate() loop", f"{slow:.4f}",
@@ -92,8 +71,8 @@ def test_batched_replication_speedup(report):
 def test_sharded_simulation_job(report):
     """Sharding across the pool reproduces the batch rows exactly.
 
-    Timing is recorded, not asserted — CI core counts vary; the
-    bit-identity of every row at any worker/shard count is the contract.
+    Timing is reported, not asserted — CI core counts vary; the
+    bit-identity of every row at any worker count is the contract.
     """
     replications = 8 if QUICK else 32
     config = replace(CORRIDOR,
@@ -102,18 +81,16 @@ def test_sharded_simulation_job(report):
 
     start = time.perf_counter()
     sharded = Engine(workers=4).run(
-        SimulationJob(config, replications=replications, shards=8))
+        SimulationJob(config, replications=replications))
     elapsed = time.perf_counter() - start
 
     assert list(sharded.counters.rows()) == \
         list(reference.counters.rows()), \
         "sharded job rows differ from the in-process batch"
-    _record("sharded_job", replications=replications, workers=4,
-            shards=8, elapsed_s=elapsed)
     report(format_table(
         ["measure", "value"],
         [["replications", replications],
-         ["workers x shards", "4 x 8"],
+         ["workers", 4],
          ["elapsed [s]", f"{elapsed:.4f}"],
          ["rows bit-identical", "yes"]],
         title="DES — SimulationJob sharded across the worker pool"))

@@ -5,12 +5,9 @@ design through the corridor tree as one compiled batch must be at least
 20x faster than the scalar per-sample reference loop — and bit-identical
 to it at the same seed (the loop is the oracle, not an approximation).
 
-Set ``BENCH_UQ_JSON`` to a path to dump the measurements (the CI
-benchmark-smoke job uploads it as ``BENCH_uq.json``); set
-``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
+Set ``BENCH_QUICK=1`` to shrink the workloads for smoke runs.
 """
 
-import json
 import os
 import time
 
@@ -20,19 +17,6 @@ from repro.uq import propagation_matrix, sobol_indices
 from repro.viz import format_table
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
-
-#: Collected measurements, dumped to BENCH_UQ_JSON at session end.
-_RESULTS = {}
-
-
-def _record(name, **measures):
-    _RESULTS[name] = measures
-    path = os.environ.get("BENCH_UQ_JSON")
-    if path:
-        with open(path, "w") as handle:
-            json.dump({"quick": QUICK, "benchmarks": _RESULTS}, handle,
-                      indent=2, sort_keys=True)
-
 
 def test_vectorized_lhs_propagation_speedup(report):
     tree = corridor_fault_tree()
@@ -58,8 +42,6 @@ def test_vectorized_lhs_propagation_speedup(report):
     assert [float(v) for v in vectorized] == reference, \
         "vectorized propagation is not bit-identical to the scalar loop"
     speedup = slow / fast if fast > 0 else float("inf")
-    _record("lhs_propagation", samples=samples, leaves=len(names),
-            scalar_s=slow, vectorized_s=fast, speedup=speedup)
     report(format_table(
         ["run", "time [s]", "samples"],
         [["scalar reference loop (per sample)", f"{slow:.4f}", samples],
@@ -77,7 +59,7 @@ def test_sobol_batch_cost(report):
 
     ``(d + 2) * n`` exact quantifications of the corridor tree; the
     point is that global sensitivity at production scale is a batch
-    call, not an overnight job.  Timing is recorded, not asserted —
+    call, not an overnight job.  Timing is reported, not asserted —
     the correctness of the indices is pinned in ``tests/uq``.
     """
     sections = 4 if QUICK else 16
@@ -91,9 +73,6 @@ def test_sobol_batch_cost(report):
 
     evaluations = (len(model) + 2) * samples
     top = indices.ranking()[0]
-    _record("sobol", samples=samples, events=len(model),
-            evaluations=evaluations, elapsed_s=elapsed,
-            top_event=top[0], top_total=top[2])
     report(format_table(
         ["measure", "value"],
         [["uncertain events", len(model)],

@@ -19,7 +19,7 @@ Sect. III-B; :class:`~repro.core.optimizer.SafetyOptimizer` drives it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.cost import CostModel
 from repro.core.parameters import ParameterSpace
@@ -134,26 +134,7 @@ class FaultTreeHazard(HazardModel):
         return _quantify(self.tree, overrides, method=self.method,
                          policy=self.policy, cut_sets=self._cut_sets)
 
-    def probability_batch(self, points: Sequence[Values]) -> List[float]:
-        """Hazard probabilities for many parameter valuations at once.
-
-        The compiled batch path: parameterized leaves are evaluated per
-        point (closures stay in-process), then the whole batch runs
-        through one :mod:`repro.compile` evaluation.  Falls back to
-        per-point :meth:`probability` calls for non-compilable methods;
-        values are identical either way.
-        """
-        overrides = [{name: p(values)
-                      for name, p in self.assignments.items()}
-                     for values in points]
-        evaluator = self._compiled_evaluator()
-        if evaluator is not None:
-            return [float(v) for v in evaluator.evaluate(overrides)]
-        return [_quantify(self.tree, o, method=self.method,
-                          policy=self.policy, cut_sets=self._cut_sets)
-                for o in overrides]
-
-    def to_sweep_job(self, axes=None, grid=None, chunks=None):
+    def to_sweep_job(self, axes=None, grid=None):
         """Package a grid quantification of this hazard as an engine job.
 
         Give exactly one of ``axes`` (per-parameter value lists whose
@@ -167,17 +148,16 @@ class FaultTreeHazard(HazardModel):
         if axes is not None:
             return SweepJob.from_axes(self.tree, self.assignments, axes,
                                       method=self.method,
-                                      policy=self.policy, chunks=chunks)
+                                      policy=self.policy)
         return SweepJob(self.tree, self.assignments, grid,
-                        method=self.method, policy=self.policy,
-                        chunks=chunks)
+                        method=self.method, policy=self.policy)
 
     def probability_grid(self, axes=None, grid=None, engine=None):
         """Quantify this hazard over a parameter grid.
 
-        The engine-backed fast path for grid sweeps: with an
-        :class:`~repro.engine.Engine` the evaluation is chunked across
-        its worker pool and content-address cached; without one the same
+        The one batch route for many parameter valuations: with an
+        :class:`~repro.engine.Engine` the evaluation is split across its
+        worker pool and content-address cached; without one the same
         job runs serially in-process.  Returns a
         :class:`~repro.engine.SweepResult` either way, with values
         identical to calling :meth:`probability` point by point.

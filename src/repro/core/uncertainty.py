@@ -11,13 +11,22 @@ cost, or the location of the optimum itself.
 The result answers the review question every quantitative safety case
 faces: *if your input numbers are off by their plausible ranges, does
 the conclusion survive?*
+
+This is the model-level face of :mod:`repro.uq`: the same seeded design
+(:func:`repro.uq.sampling.uniform_matrix`, mapped through each input's
+``ppf_batch``), the same percentile and the same centred Sobol estimator
+(:func:`repro.uq.sensitivity.sobol_from_samples`), applied to output
+functions over named inputs instead of fault trees.  :mod:`repro.uq`
+builds on :mod:`repro.core`, so it is imported inside the functions and
+loading the core never loads it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro.errors import ModelError
 from repro.stats.distributions import Distribution
@@ -49,14 +58,8 @@ class UncertaintyResult:
         """Linear-interpolation percentile, ``q`` in [0, 100]."""
         if not 0.0 <= q <= 100.0:
             raise ModelError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q / 100.0 * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        frac = position - low
-        return ordered[low] * (1.0 - frac) + ordered[high] * frac
+        from repro.uq.propagate import percentile
+        return percentile(self.samples, q)
 
     def interval(self, confidence: float = 0.90) -> Tuple[float, float]:
         """Central credible interval from the sample percentiles."""
@@ -73,6 +76,23 @@ class UncertaintyResult:
                 f"n={len(self.samples)})")
 
 
+def _check(inputs: Dict[str, Distribution], samples: int,
+           minimum: int) -> None:
+    if samples < minimum:
+        raise ModelError(f"samples must be >= {minimum}, got {samples}")
+    if not inputs:
+        raise ModelError("no uncertain inputs declared")
+
+
+def _rows(inputs: Dict[str, Distribution],
+          uniforms: np.ndarray) -> List[Dict[str, float]]:
+    """One named input sample per design row: column ``j`` through the
+    quantile function of input ``j``."""
+    columns = [dist.ppf_batch(uniforms[:, j]).tolist()
+               for j, dist in enumerate(inputs.values())]
+    return [dict(zip(inputs, row)) for row in zip(*columns)]
+
+
 def latin_hypercube(inputs: Dict[str, Distribution], samples: int,
                     seed: int = 0) -> List[Dict[str, float]]:
     """Latin hypercube sample of the input distributions.
@@ -81,22 +101,10 @@ def latin_hypercube(inputs: Dict[str, Distribution], samples: int,
     one draw per stratum, shuffled independently per input — better
     space coverage than plain Monte Carlo at small sample counts.
     """
-    if samples < 1:
-        raise ModelError(f"samples must be >= 1, got {samples}")
-    if not inputs:
-        raise ModelError("no uncertain inputs declared")
-    rng = random.Random(seed)
-    columns: Dict[str, List[float]] = {}
-    for name, dist in inputs.items():
-        strata = []
-        for i in range(samples):
-            u = (i + rng.random()) / samples
-            u = min(max(u, 1e-12), 1.0 - 1e-12)
-            strata.append(dist.ppf(u))
-        rng.shuffle(strata)
-        columns[name] = strata
-    return [{name: columns[name][i] for name in inputs}
-            for i in range(samples)]
+    _check(inputs, samples, 1)
+    from repro.uq.sampling import uniform_matrix
+    return _rows(inputs, uniform_matrix(samples, len(inputs), seed=seed,
+                                        sampler="lhs"))
 
 
 def propagate(inputs: Dict[str, Distribution], output: OutputFn,
@@ -109,63 +117,7 @@ def propagate(inputs: Dict[str, Distribution], output: OutputFn,
     :class:`~repro.core.model.SafetyModel` from the sampled constants
     and evaluates a cost or hazard probability.
     """
-    draws = latin_hypercube(inputs, samples, seed)
-    values = [float(output(draw)) for draw in draws]
-    return UncertaintyResult(name=name, samples=tuple(values))
-
-
-def sobol_first_order(inputs: Dict[str, Distribution], output: OutputFn,
-                      samples: int = 1024,
-                      seed: int = 0) -> Dict[str, float]:
-    """First-order Sobol sensitivity indices (Saltelli estimator).
-
-    ``S_i = Var(E[Y | X_i]) / Var(Y)`` measures how much of the output
-    variance each uncertain input explains on its own — which of the
-    contested statistical assumptions (Sect. V) actually moves the
-    conclusion.  Uses two independent sample matrices A and B plus the
-    pick-freeze matrices ``A_B^i`` (Saltelli 2010), costing
-    ``samples * (d + 2)`` output evaluations.
-
-    Indices are clipped into [0, 1]; with ``samples`` around 1000 expect
-    absolute accuracy of a few percent on smooth models.
-    """
-    if samples < 2:
-        raise ModelError(f"samples must be >= 2, got {samples}")
-    if not inputs:
-        raise ModelError("no uncertain inputs declared")
-    rng = random.Random(seed)
-    names = list(inputs)
-
-    def draw_matrix() -> List[Dict[str, float]]:
-        rows = []
-        for _ in range(samples):
-            row = {}
-            for name in names:
-                u = min(max(rng.random(), 1e-12), 1.0 - 1e-12)
-                row[name] = inputs[name].ppf(u)
-            rows.append(row)
-        return rows
-
-    a_rows = draw_matrix()
-    b_rows = draw_matrix()
-    f_a = [float(output(row)) for row in a_rows]
-    f_b = [float(output(row)) for row in b_rows]
-    all_values = f_a + f_b
-    mean = sum(all_values) / len(all_values)
-    variance = sum((v - mean) ** 2 for v in all_values) / \
-        (len(all_values) - 1)
-    if variance <= 0.0:
-        return {name: 0.0 for name in names}
-
-    indices: Dict[str, float] = {}
-    for name in names:
-        mixed = [dict(a_row, **{name: b_row[name]})
-                 for a_row, b_row in zip(a_rows, b_rows)]
-        f_mixed = [float(output(row)) for row in mixed]
-        estimate = sum(fb * (fm - fa) for fb, fm, fa in
-                       zip(f_b, f_mixed, f_a)) / samples
-        indices[name] = min(1.0, max(0.0, estimate / variance))
-    return indices
+    return propagate_many(inputs, {name: output}, samples, seed)[name]
 
 
 def propagate_many(inputs: Dict[str, Distribution],
@@ -178,8 +130,43 @@ def propagate_many(inputs: Dict[str, Distribution],
     functions share work via closures.
     """
     draws = latin_hypercube(inputs, samples, seed)
-    results: Dict[str, UncertaintyResult] = {}
-    for name, fn in outputs.items():
-        values = [float(fn(draw)) for draw in draws]
-        results[name] = UncertaintyResult(name=name, samples=tuple(values))
-    return results
+    return {name: UncertaintyResult(
+                name=name, samples=tuple(float(fn(draw)) for draw in draws))
+            for name, fn in outputs.items()}
+
+
+def sobol_first_order(inputs: Dict[str, Distribution], output: OutputFn,
+                      samples: int = 1024,
+                      seed: int = 0) -> Dict[str, float]:
+    """First-order Sobol sensitivity indices (Saltelli estimator).
+
+    ``S_i = Var(E[Y | X_i]) / Var(Y)`` measures how much of the output
+    variance each uncertain input explains on its own — which of the
+    contested statistical assumptions (Sect. V) actually moves the
+    conclusion.  The A and B sample matrices are the two halves of one
+    seeded ``(samples, 2 d)`` design, as in
+    :func:`repro.uq.sobol_indices`; with the pick-freeze matrices
+    ``A_B^i`` (Saltelli 2010) that costs ``samples * (d + 2)`` output
+    evaluations.
+
+    Indices are clipped into [0, 1]; with ``samples`` around 1000 expect
+    absolute accuracy of a few percent on smooth models.
+    """
+    _check(inputs, samples, 2)
+    from repro.uq.sampling import uniform_matrix
+    from repro.uq.sensitivity import sobol_from_samples
+    d = len(inputs)
+    design = uniform_matrix(samples, 2 * d, seed=seed, sampler="mc")
+    a_rows = _rows(inputs, design[:, :d])
+    b_rows = _rows(inputs, design[:, d:])
+
+    def evaluate(rows: List[Dict[str, float]]) -> np.ndarray:
+        return np.array([float(output(row)) for row in rows])
+
+    f_a = evaluate(a_rows)
+    f_b = evaluate(b_rows)
+    f_ab = {name: evaluate([{**a_row, name: b_row[name]}
+                            for a_row, b_row in zip(a_rows, b_rows)])
+            for name in inputs}
+    first, _total, _variance = sobol_from_samples(f_a, f_b, f_ab)
+    return first

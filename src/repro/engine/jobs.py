@@ -5,22 +5,26 @@ work over the library's analytic machinery:
 
 * :class:`QuantifyJob`     — one hazard probability of one fault tree,
 * :class:`SweepJob`        — a fault tree quantified across a parameter
-  grid (chunked across workers),
+  grid (row blocks across workers),
 * :class:`MonteCarloJob`   — a sampling estimate split into
   deterministically seeded shards and pooled into one Wilson interval,
 * :class:`UncertaintyJob`  — epistemic uncertainty propagation of an
-  :class:`~repro.uq.spec.UncertainModel` through one tree (row-sharded
-  across workers, bit-identical at any worker/shard count),
+  :class:`~repro.uq.spec.UncertainModel` through one tree (row blocks
+  across workers, bit-identical at any worker count),
 * :class:`SimulationJob`   — batched replications of the Elbtunnel
-  traffic simulation (replication-sharded across workers, each row
+  traffic simulation (replication blocks across workers, each row
   bit-identical to the scalar kernel at its seed),
 * :class:`OptimizeJob`     — a full safety-optimization run over a
   :class:`~repro.core.model.SafetyModel`.
 
 Jobs know how to fingerprint themselves (so semantically identical
-requests share a cache key), how to run serially, how to spread across a
-:class:`~repro.engine.pool.WorkerPool`, and how to encode their results
-for the JSON-persistable cache.
+requests share a cache key), how to run on a
+:class:`~repro.engine.pool.WorkerPool` (their one ``run(pool)``; a
+serial run is a run on a one-worker pool), and how to encode their
+results for the cache.  The row-wise jobs — sweep, uncertainty and
+simulation — hand their rows to :meth:`WorkerPool.map_rows
+<repro.engine.pool.WorkerPool.map_rows>`, which alone decides the
+blocks: no job option changes how work is split.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ from repro.engine.pool import (
     WorkerPool,
     chunk_indices,
     derive_seed,
-    quantify_points,
     run_monte_carlo_shard,
     run_quantify_chunk,
+    run_simulation_shard,
     run_uq_chunk,
 )
 from repro.errors import EngineError
@@ -158,13 +162,13 @@ class Job:
     def _fingerprint_parts(self) -> Tuple[str, ...]:
         raise NotImplementedError
 
-    def run_serial(self) -> Any:
-        """Execute the job in-process, without a pool."""
-        raise NotImplementedError
-
     def run(self, pool: WorkerPool) -> Any:
         """Execute the job, using the pool where the job can shard."""
-        return self.run_serial()
+        raise NotImplementedError
+
+    def run_serial(self) -> Any:
+        """Execute the job in-process, on a one-worker pool."""
+        return self.run(WorkerPool(1))
 
     @staticmethod
     def encode_result(result: Any) -> Any:
@@ -200,7 +204,7 @@ class QuantifyJob(Job):
                 values_fingerprint(self.probabilities),
                 self.method, self.policy.value)
 
-    def run_serial(self) -> float:
+    def run(self, pool: WorkerPool) -> float:
         return hazard_probability(self.tree, self.probabilities,
                                   method=self.method, policy=self.policy)
 
@@ -257,7 +261,7 @@ class IncrementalJob(Job):
                 options_fingerprint(edits=list(self.edits),
                                     sift_threshold=self.sift_threshold))
 
-    def run_serial(self) -> Dict[str, Any]:
+    def run(self, pool: WorkerPool) -> Dict[str, Any]:
         from repro.incremental import IncrementalSession
         session = IncrementalSession(
             self.tree, self.probabilities, cache=self._cache,
@@ -307,7 +311,8 @@ class SweepJob(Job):
     floats); at each grid point they are evaluated *in the parent
     process* — closures never cross the process boundary — and only the
     resulting override dicts are shipped to workers alongside the tree
-    and its precomputed cut sets.
+    and its precomputed cut sets, in row blocks the pool picks
+    (:meth:`~repro.engine.pool.WorkerPool.map_rows`).
     """
 
     kind = "sweep"
@@ -317,8 +322,7 @@ class SweepJob(Job):
                  grid: Sequence[Mapping[str, float]],
                  method: str = "rare_event",
                  policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
-                 probabilities: Optional[Mapping[str, float]] = None,
-                 chunks: Optional[int] = None):
+                 probabilities: Optional[Mapping[str, float]] = None):
         self.tree = _check_tree(tree)
         self.method = _check_method(method)
         self.policy = _check_policy(policy)
@@ -345,21 +349,18 @@ class SweepJob(Job):
                     f"grid point {i} is missing parameter values for "
                     f"{sorted(missing)}")
             self.grid.append({str(k): float(v) for k, v in point.items()})
-        if chunks is not None and chunks < 1:
-            raise EngineError(f"chunks must be >= 1, got {chunks}")
-        self.chunks = chunks
 
     @classmethod
     def from_axes(cls, tree: FaultTree, assignments: Mapping[str, Any],
                   axes: Mapping[str, Sequence[float]],
                   method: str = "rare_event",
                   policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
-                  probabilities: Optional[Mapping[str, float]] = None,
-                  chunks: Optional[int] = None) -> "SweepJob":
+                  probabilities: Optional[Mapping[str, float]] = None
+                  ) -> "SweepJob":
         """Build the grid as the cartesian product of per-axis values."""
         return cls(tree, assignments, grid_points(axes),
                    method=method, policy=policy,
-                   probabilities=probabilities, chunks=chunks)
+                   probabilities=probabilities)
 
     def _fingerprint_parts(self) -> Tuple[str, ...]:
         assignments = ";".join(
@@ -387,28 +388,11 @@ class SweepJob(Job):
         return SweepResult(points=tuple(dict(p) for p in self.grid),
                            values=tuple(values))
 
-    def run_serial(self) -> SweepResult:
-        return self._result(quantify_points(
-            self.tree, _shared_cut_sets(self.tree, self.method),
-            self.method, self.policy, self._overrides()))
-
     def run(self, pool: WorkerPool) -> SweepResult:
-        if not pool.is_parallel or len(self.grid) == 1:
-            return self.run_serial()
-        overrides = self._overrides()
-        cut_sets = _shared_cut_sets(self.tree, self.method)
-        chunks = self.chunks if self.chunks is not None \
-            else 4 * pool.workers
-        payloads = []
-        for start, stop in chunk_indices(len(overrides), chunks):
-            chunk = [(i, overrides[i]) for i in range(start, stop)]
-            payloads.append(
-                (self.tree, cut_sets, self.method, self.policy, chunk))
-        values: List[float] = [0.0] * len(overrides)
-        for partial in pool.map(run_quantify_chunk, payloads):
-            for index, value in partial:
-                values[index] = value
-        return self._result(values)
+        common = (self.tree, _shared_cut_sets(self.tree, self.method),
+                  self.method, self.policy)
+        return self._result(pool.map_rows(run_quantify_chunk, common,
+                                          self._overrides()))
 
     @staticmethod
     def encode_result(result: SweepResult) -> Dict[str, Any]:
@@ -434,8 +418,9 @@ class MonteCarloJob(Job):
     (:func:`repro.engine.pool.derive_seed`), and the per-shard counts are
     pooled into a single Wilson interval via
     :func:`repro.stats.estimation.pooled_wilson_ci`.  With ``shards=1``
-    the job reproduces :func:`repro.sim.montecarlo.monte_carlo_probability`
-    bit-for-bit (same seed, same stream).
+    the one shard runs on ``seed`` itself, the stream of
+    :func:`repro.sim.montecarlo.monte_carlo_counts` at that seed.
+    :func:`~repro.sim.montecarlo.monte_carlo_probability` runs this job.
     """
 
     kind = "montecarlo"
@@ -476,9 +461,6 @@ class MonteCarloJob(Job):
                                     confidence=self.confidence,
                                     shards=self.shards))
 
-    def run_serial(self) -> MonteCarloEstimate:
-        return self.run(WorkerPool(1))
-
     def run(self, pool: WorkerPool) -> MonteCarloEstimate:
         payloads = [(self.tree, self.probabilities, samples, seed)
                     for samples, seed in self.shard_plan()]
@@ -509,13 +491,14 @@ class UncertaintyJob(Job):
 
     The seeded uniform design is a pure function of ``(model, samples,
     seed, sampler)`` and is built *whole* in the parent process
-    (:func:`repro.uq.propagation_design`); each chunk receives a row
-    block of uniforms plus the model, and turns it into leaf
-    probabilities and top-event values there
-    (:func:`repro.uq.evaluate_design`, the serial run's route too).
-    Because each row's computation is element-wise, the assembled
-    result is bit-identical to the serial run at any worker or chunk
-    count.  The fingerprint extends the tree's structural hash with the
+    (:func:`repro.uq.propagation_design`); the pool cuts it into row
+    blocks (:meth:`~repro.engine.pool.WorkerPool.map_rows`), and each
+    block, shipped with the model, is turned into leaf probabilities
+    and top-event values (:func:`repro.uq.evaluate_design`, the route
+    of :func:`repro.uq.propagate` too).  Because each row's computation
+    is element-wise, the assembled result is bit-identical to
+    :func:`~repro.uq.propagate` at any worker count.  The fingerprint
+    extends the tree's structural hash with the
     :class:`~repro.uq.spec.UncertainModel` content hash, so
     semantically identical UQ requests share a cache entry across
     sessions.
@@ -526,8 +509,7 @@ class UncertaintyJob(Job):
     def __init__(self, tree: FaultTree, model,
                  samples: int = 1000, seed: int = 0,
                  sampler: str = "lhs", method: str = "exact",
-                 policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT,
-                 chunks: Optional[int] = None):
+                 policy: ConstraintPolicy = ConstraintPolicy.INDEPENDENT):
         from repro.compile import supports_compilation
         from repro.uq.sampling import SAMPLERS
         from repro.uq.spec import UncertainModel
@@ -552,11 +534,6 @@ class UncertaintyJob(Job):
         self.samples = int(samples)
         self.seed = int(seed)
         self.sampler = sampler
-        if chunks is not None and chunks < 1:
-            raise EngineError(f"chunks must be >= 1, got {chunks}")
-        # Like SweepJob.chunks: an execution detail, results are
-        # bit-identical regardless — deliberately not fingerprinted.
-        self.chunks = chunks
 
     def _fingerprint_parts(self) -> Tuple[str, ...]:
         return (tree_fingerprint(self.tree), self.model.fingerprint,
@@ -564,28 +541,14 @@ class UncertaintyJob(Job):
                                     sampler=self.sampler),
                 self.method, self.policy.value)
 
-    def run_serial(self):
-        from repro.uq import propagate
-        return propagate(self.tree, self.model, n_samples=self.samples,
-                         seed=self.seed, sampler=self.sampler,
-                         method=self.method, policy=self.policy)
-
     def run(self, pool: WorkerPool):
-        if not pool.is_parallel or self.samples == 1:
-            return self.run_serial()
         from repro.uq import PropagationResult, propagation_design
         uniforms = propagation_design(
             self.tree, self.model, self.samples, seed=self.seed,
             sampler=self.sampler, method=self.method, policy=self.policy)
-        chunks = self.chunks if self.chunks is not None \
-            else 4 * pool.workers
-        payloads = [(self.tree, self.model, self.method, self.policy,
-                     uniforms[start:stop])
-                    for start, stop in chunk_indices(self.samples,
-                                                     chunks)]
-        values: List[float] = []
-        for partial in pool.map(run_uq_chunk, payloads):
-            values.extend(partial)
+        values = pool.map_rows(
+            run_uq_chunk,
+            (self.tree, self.model, self.method, self.policy), uniforms)
         return PropagationResult(
             name=self.tree.name, samples=tuple(values), seed=self.seed,
             sampler=self.sampler, method=self.method)
@@ -613,12 +576,11 @@ class SimulationJob(Job):
     :func:`repro.sim.batch.replication_seeds` from ``seed`` (default:
     the config's own seed) and executed through the batch kernel
     (:mod:`repro.elbtunnel.batch`).  Replication rows are pure functions
-    of ``(config, seed)``, so sharding the seed list across the pool
-    reassembles to the same :class:`BatchSimulationResult` at any worker
-    or shard count — and every row is bit-identical to the scalar
-    ``simulate()`` run at that seed.  Like ``chunks`` elsewhere,
-    ``shards`` is an execution detail and not part of the fingerprint;
-    the content key covers the full simulation config plus
+    of ``(config, seed)``, so the seed blocks the pool picks
+    (:meth:`~repro.engine.pool.WorkerPool.map_rows`) reassemble to the
+    same :class:`BatchSimulationResult` at any worker count — and every
+    row is bit-identical to the scalar ``simulate()`` run at that seed.
+    The content key covers the full simulation config plus
     ``(replications, seed)``, so repeated studies hit the LRU/disk cache
     like every other job.
     """
@@ -626,8 +588,7 @@ class SimulationJob(Job):
     kind = "simulate"
 
     def __init__(self, config, replications: int = 1,
-                 seed: Optional[int] = None,
-                 shards: Optional[int] = None):
+                 seed: Optional[int] = None):
         from repro.elbtunnel.simulation import SimulationConfig
         if not isinstance(config, SimulationConfig):
             raise EngineError(
@@ -636,12 +597,9 @@ class SimulationJob(Job):
         if replications < 1:
             raise EngineError(
                 f"replications must be >= 1, got {replications}")
-        if shards is not None and shards < 1:
-            raise EngineError(f"shards must be >= 1, got {shards}")
         self.config = config
         self.replications = int(replications)
         self.seed = int(config.seed if seed is None else seed)
-        self.shards = shards
 
     def _config_dict(self) -> Dict[str, Any]:
         encoded = asdict(self.config)
@@ -662,24 +620,10 @@ class SimulationJob(Job):
         from repro.sim.batch import replication_seeds
         return replication_seeds(self.seed, self.replications)
 
-    def run_serial(self):
-        return self.run(WorkerPool(1))
-
     def run(self, pool: WorkerPool):
         from repro.elbtunnel.batch import BatchSimulationResult
-        from repro.engine.pool import run_simulation_shard
         seeds = self.seed_plan()
-        if not pool.is_parallel or self.replications == 1:
-            rows = run_simulation_shard((self.config, seeds))
-        else:
-            chunks = self.shards if self.shards is not None \
-                else 4 * pool.workers
-            payloads = [(self.config, seeds[start:stop])
-                        for start, stop
-                        in chunk_indices(self.replications, chunks)]
-            rows = []
-            for partial in pool.map(run_simulation_shard, payloads):
-                rows.extend(partial)
+        rows = pool.map_rows(run_simulation_shard, self.config, seeds)
         return BatchSimulationResult.from_rows(self.config.duration,
                                                seeds, rows)
 
@@ -741,7 +685,7 @@ class OptimizeJob(Job):
                 options_fingerprint(baseline=self.baseline,
                                     **self.options))
 
-    def run_serial(self):
+    def run(self, pool: WorkerPool):
         from repro.core.optimizer import SafetyOptimizer
         return SafetyOptimizer(self.model).optimize(
             self.method, baseline=self.baseline, **self.options)

@@ -6,6 +6,8 @@ carry plain library objects — fault trees, probability dicts, cut set
 collections — all of which pickle; parametric probabilities (arbitrary
 closures) never cross the process boundary: sweep jobs evaluate them in
 the parent and ship the resulting per-point override dicts instead.
+Row-wise jobs (sweep, uncertainty, simulation) go through
+:meth:`WorkerPool.map_rows`, the one place that cuts rows into blocks.
 
 When only one worker is configured, only one payload exists, or a pool
 cannot be created (restricted environments, missing semaphores), the same
@@ -65,6 +67,11 @@ def derive_seed(seed: int, shard: int) -> int:
     return int.from_bytes(raw[:8], "big")
 
 
+#: Row blocks per worker in :meth:`WorkerPool.map_rows` when the pool
+#: is parallel: several blocks per worker even out uneven row costs.
+BLOCKS_PER_WORKER = 4
+
+
 def chunk_indices(count: int, chunks: int) -> List[Tuple[int, int]]:
     """Split ``range(count)`` into ``chunks`` near-equal (start, stop) runs."""
     if count <= 0:
@@ -114,11 +121,6 @@ class WorkerPool:
         self.retries = 0
         #: Shards recovered serially after a dead/poisoned/stuck worker.
         self.recovered = 0
-
-    @property
-    def is_parallel(self) -> bool:
-        """True when payloads may run in separate processes."""
-        return self.workers > 1
 
     # ------------------------------------------------------------------
     # Serial execution (also the recovery path)
@@ -241,6 +243,27 @@ class WorkerPool:
                                            inject=False)
         return results
 
+    def map_rows(self, fn: Callable[[Any], List[Any]], common: Any,
+                 rows: Sequence[Any]) -> List[Any]:
+        """Apply a row-wise worker function to ``rows`` in blocks.
+
+        The one place row-wise work is split: ``rows`` (a list or an
+        array) is cut into one block at one worker and
+        :data:`BLOCKS_PER_WORKER` blocks per worker otherwise, each
+        ``(common, block)`` payload goes through :meth:`map`, and the
+        per-block result lists are concatenated in row order.  ``fn``
+        must compute each row independently of the others, so the
+        result cannot depend on the block layout.
+        """
+        blocks = 1 if self.workers == 1 \
+            else BLOCKS_PER_WORKER * self.workers
+        results: List[Any] = []
+        for part in self.map(fn, [(common, rows[start:stop])
+                                  for start, stop
+                                  in chunk_indices(len(rows), blocks)]):
+            results.extend(part)
+        return results
+
 
 _monotonic = time.monotonic
 
@@ -262,44 +285,31 @@ def _run_shard(fn: Callable[[Any], Any], payload: Any,
     return fn(payload)
 
 
-def quantify_points(tree, cut_sets, method: str, policy,
-                    points: Sequence[Any]) -> List[float]:
-    """Hazard probabilities of ``tree`` at each override dict in
-    ``points`` — the one route every sweep takes.
+def run_quantify_chunk(payload: Tuple) -> List[float]:
+    """Quantify one row block of a parametric sweep — the one route
+    every sweep takes.
 
-    Where :func:`~repro.compile.supports_compilation` accepts the
-    tree/method pair the points run as one :mod:`repro.compile` batch,
-    bit-identical to per-point quantification.  The rest
-    (``inclusion_exclusion``, cut-set methods on non-coherent trees)
-    fall back to per-point :func:`hazard_probability`, which fails there
-    with its own diagnostics.
+    ``payload`` is ``((tree, cut_sets, method, policy), points)`` where
+    ``points`` is a list of override dicts; returns their hazard
+    probabilities, in order.  Where
+    :func:`~repro.compile.supports_compilation` accepts the tree/method
+    pair the points run as one :mod:`repro.compile` batch, bit-identical
+    to per-point quantification.  The rest (``inclusion_exclusion``,
+    cut-set methods on non-coherent trees) fall back to per-point
+    :func:`hazard_probability`, which fails there with its own
+    diagnostics.  Each payload ships (and unpickles) its own tree copy,
+    so the compile memo cannot hit across blocks: compilation happens
+    once per *block* — amortized over the block's points, still far
+    cheaper than the per-point walk.
     """
     from repro.compile import compile_tree, supports_compilation
+    (tree, cut_sets, method, policy), points = payload
     if supports_compilation(tree, method):
         evaluator = compile_tree(tree, method, policy, cut_sets=cut_sets)
         return [float(value) for value in evaluator.evaluate(points)]
     return [hazard_probability(tree, overrides, method=method,
                                policy=policy, cut_sets=cut_sets)
             for overrides in points]
-
-
-def run_quantify_chunk(payload: Tuple) -> List[Tuple[int, float]]:
-    """Quantify one chunk of a parametric sweep.
-
-    ``payload`` is ``(tree, cut_sets, method, policy, chunk)`` where
-    ``chunk`` is a list of ``(index, overrides)`` pairs; returns
-    ``(index, probability)`` pairs so the parent can reassemble the grid
-    in order.  The chunk runs through :func:`quantify_points`.  Each
-    payload ships (and unpickles) its own tree copy, so the compile memo
-    cannot hit across chunks: compilation happens once per *chunk* —
-    amortized over the chunk's points, still far cheaper than the
-    per-point walk.
-    """
-    tree, cut_sets, method, policy, chunk = payload
-    values = quantify_points(tree, cut_sets, method, policy,
-                             [overrides for _index, overrides in chunk])
-    return [(index, value)
-            for (index, _overrides), value in zip(chunk, values)]
 
 
 def run_monte_carlo_shard(payload: Tuple) -> Tuple[int, int]:
@@ -316,13 +326,12 @@ def run_simulation_shard(payload: Tuple) -> list:
     """Run one replication shard of a batched traffic simulation.
 
     ``payload`` is ``(config, seeds)`` — a
-    :class:`~repro.elbtunnel.simulation.SimulationConfig` plus the
-    per-replication seeds of this shard; returns one integer counter row
-    per seed (:data:`~repro.elbtunnel.simulation.COUNTER_FIELDS` order).
-    Rows are pure functions of ``(config, seed)``, so the parent can
-    concatenate shard results into the full batch regardless of how the
-    seed list was partitioned — worker-count independence by
-    construction.
+    :class:`~repro.elbtunnel.simulation.SimulationConfig` plus a block
+    of per-replication seeds; returns one integer counter row per seed
+    (:data:`~repro.elbtunnel.simulation.COUNTER_FIELDS` order).  Rows
+    are pure functions of ``(config, seed)``, so concatenated blocks
+    give the full batch however the seed list was split — worker-count
+    independence by construction.
     """
     from repro.elbtunnel.batch import replicate_counters
     config, seeds = payload
@@ -332,16 +341,15 @@ def run_simulation_shard(payload: Tuple) -> list:
 def run_uq_chunk(payload: Tuple) -> list:
     """Propagate one row block of a UQ design.
 
-    ``payload`` is ``(tree, model, method, policy, block)`` where
+    ``payload`` is ``((tree, model, method, policy), block)`` where
     ``block`` is a ``(rows, n_uncertain)`` slice of the seeded uniform
     design built in the parent.  The chunk applies the model's
     quantiles and evaluates the rows through
-    :func:`repro.uq.evaluate_design` — the serial run's route — and
-    each row is an independent element-wise computation, so
-    concatenating per-chunk results is bit-identical to evaluating the
-    whole design at once: worker and chunk counts cannot perturb the
-    sampled distribution.
+    :func:`repro.uq.evaluate_design`, and each row is an independent
+    element-wise computation, so concatenating per-block results is
+    bit-identical to evaluating the whole design at once: the worker
+    count cannot perturb the sampled distribution.
     """
     from repro.uq.propagate import evaluate_design
-    tree, model, method, policy, block = payload
+    (tree, model, method, policy), block = payload
     return evaluate_design(tree, model, block, method, policy).tolist()

@@ -22,7 +22,6 @@ from repro.errors import SimulationError
 from repro.fta.events import Condition, PrimaryFailure
 from repro.fta.quantify import probability_map
 from repro.fta.tree import FaultTree
-from repro.stats.estimation import wilson_ci
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,11 @@ def monte_carlo_probability(
         workers: int = 1) -> MonteCarloEstimate:
     """Estimate the hazard probability of ``tree`` by direct sampling.
 
+    Runs a :class:`~repro.engine.jobs.MonteCarloJob` on a
+    ``workers``-process pool, so overrides are checked like any job's:
+    a name that matches no leaf raises
+    :class:`~repro.errors.EngineError` with close matches as a hint.
+
     Parameters
     ----------
     tree:
@@ -91,11 +95,11 @@ def monte_carlo_probability(
         Confidence level of the Wilson interval.
     shards:
         Split the sample budget into this many independently seeded
-        shards (engine-backed fast path).  ``shards=1`` keeps the classic
-        single-stream sampler; sharded runs draw a different (but
-        deterministic, seed-derived) sample stream, so their estimates
-        agree with the single-stream one within the confidence interval
-        rather than bit-for-bit.
+        shards.  ``shards=1`` samples the single ``random.Random(seed)``
+        stream; sharded runs draw a different (but deterministic,
+        seed-derived) sample stream, so their estimates agree with the
+        single-stream one within the confidence interval rather than
+        bit-for-bit.
     workers:
         Worker processes used to run the shards (only meaningful with
         ``shards > 1``).
@@ -109,17 +113,8 @@ def monte_carlo_probability(
             f"cannot split {samples} samples into {shards} shards")
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
-    if shards == 1 and workers == 1:
-        occurrences, samples = monte_carlo_counts(
-            tree, probabilities, samples, seed)
-        ci_low, ci_high = wilson_ci(occurrences, samples, confidence)
-        return MonteCarloEstimate(
-            probability=occurrences / samples, ci_low=ci_low,
-            ci_high=ci_high, occurrences=occurrences, samples=samples,
-            confidence=confidence)
-    # Engine-backed path: deterministic per-shard seeding, parallel
-    # execution, one pooled Wilson interval.  Imported lazily to keep
-    # repro.sim free of an engine dependency at import time.
+    # Imported lazily to keep repro.sim free of an engine dependency at
+    # import time.
     from repro.engine.jobs import MonteCarloJob
     from repro.engine.pool import WorkerPool
     job = MonteCarloJob(tree, probabilities=probabilities,

@@ -73,7 +73,15 @@ def sobol_from_samples(f_a: np.ndarray, f_b: np.ndarray,
     Returns ``(first, total, variance)`` — the index mappings (both
     clipped into ``[0, 1]``) plus the pooled output variance they were
     normalized by.  Exposed separately so analytic test functions (and
-    models outside the fault-tree machinery) can reuse the estimators.
+    models outside the fault-tree machinery, such as
+    :func:`repro.core.sobol_first_order`) can reuse the estimators.
+
+    The first-order sum centres ``f_b`` on the pooled mean: the raw
+    Saltelli product ``f_b * (f_ab - f_a)`` is unbiased too, but its
+    noise grows with the square of the output's mean, so a model whose
+    output sits far from zero (a cost near 1,000 with a spread of 1)
+    drowns its indices in it.  ``f_ab - f_a`` and the Jansen total-order
+    term are shift-invariant already.
     """
     f_a = np.asarray(f_a, dtype=np.float64)
     f_b = np.asarray(f_b, dtype=np.float64)
@@ -83,6 +91,7 @@ def sobol_from_samples(f_a: np.ndarray, f_b: np.ndarray,
             f"{f_a.shape} and {f_b.shape}")
     pooled = np.concatenate([f_a, f_b])
     variance = float(np.var(pooled, ddof=1))
+    f_b_centred = f_b - np.mean(pooled)
     first: Dict[str, float] = {}
     total: Dict[str, float] = {}
     for event, f_mixed in f_ab.items():
@@ -96,7 +105,7 @@ def sobol_from_samples(f_a: np.ndarray, f_b: np.ndarray,
             total[event] = 0.0
             continue
         # Saltelli 2010 first-order and Jansen total-order estimators.
-        s_i = float(np.mean(f_b * (f_mixed - f_a))) / variance
+        s_i = float(np.mean(f_b_centred * (f_mixed - f_a))) / variance
         t_i = float(np.mean((f_a - f_mixed) ** 2)) / (2.0 * variance)
         first[event] = min(1.0, max(0.0, s_i))
         total[event] = min(1.0, max(0.0, t_i))

@@ -25,11 +25,11 @@ def small_tree():
         primary("C", 0.01)]))
 
 
-def sweep_job(method="rare_event", chunks=None):
+def sweep_job(method="rare_event"):
     values = [0.05 * i for i in range(1, 8)]
     return SweepJob.from_axes(
         small_tree(), {"A": identity("pA"), "B": identity("pB")},
-        {"pA": values, "pB": values}, method=method, chunks=chunks)
+        {"pA": values, "pB": values}, method=method)
 
 
 def pointwise(job):
@@ -61,12 +61,12 @@ class TestSweepJob:
             "d18caaff058b918bda67623f407fb523")
 
     def test_parallel_matches_serial(self):
-        job = sweep_job("exact", chunks=3)
+        job = sweep_job("exact")
         assert job.run(WorkerPool(2)) == job.run_serial()
 
     @pytest.mark.parametrize("method", ["rare_event", "mcub", "exact"])
     def test_parallel_matches_pointwise(self, method):
-        job = sweep_job(method, chunks=3)
+        job = sweep_job(method)
         assert job.run(WorkerPool(2)).values == pointwise(job)
 
     def test_inclusion_exclusion_falls_back(self):
@@ -85,21 +85,20 @@ class TestQuantifyChunk:
     def test_chunk_matches_pointwise(self):
         tree = small_tree()
         cut_sets = mocus(tree)
-        chunk = [(0, {"A": 0.3}), (1, {"B": 0.4})]
+        points = [{"A": 0.3}, {"B": 0.4}]
         result = run_quantify_chunk(
-            (tree, cut_sets, "rare_event",
-             ConstraintPolicy.INDEPENDENT, chunk))
-        assert result == [(index, hazard_probability(tree, overrides))
-                          for index, overrides in chunk]
+            ((tree, cut_sets, "rare_event", ConstraintPolicy.INDEPENDENT),
+             points))
+        assert result == [hazard_probability(tree, overrides)
+                          for overrides in points]
 
     def test_compiled_chunk_exact(self):
         tree = small_tree()
-        chunk = [(i, {"A": 0.1 * (i + 1)}) for i in range(4)]
+        points = [{"A": 0.1 * (i + 1)} for i in range(4)]
         result = run_quantify_chunk(
-            (tree, None, "exact", ConstraintPolicy.INDEPENDENT, chunk))
-        for (index, overrides), (out_index, value) in zip(chunk, result):
-            assert out_index == index
-            assert value == hazard_probability(tree, overrides, "exact")
+            ((tree, None, "exact", ConstraintPolicy.INDEPENDENT), points))
+        assert result == [hazard_probability(tree, overrides, "exact")
+                          for overrides in points]
 
 
 class TestFaultTreeHazard:
@@ -128,18 +127,18 @@ class TestFaultTreeHazard:
         model.probability({"T": 5.0})
         assert model._evaluator is first
 
-    def test_probability_batch_matches_pointwise(self):
+    def test_explicit_grid_matches_pointwise(self):
         model = self.hazard_model("exact")
         points = [{"T": t} for t in (1.0, 2.0, 4.0, 8.0)]
-        batch = model.probability_batch(points)
-        assert batch == [model.probability(p) for p in points]
+        batch = model.probability_grid(grid=points).values
+        assert batch == tuple(model.probability(p) for p in points)
 
     def test_unsupported_method_falls_back(self):
         model = self.hazard_model("inclusion_exclusion")
         point = {"T": 3.0}
         assert model.probability(point) == self.reference(model, point)
-        assert model.probability_batch([point]) == \
-            [self.reference(model, point)]
+        assert model.probability_grid(grid=[point]).values == \
+            (self.reference(model, point),)
         assert model._evaluator is None
 
     def test_probability_grid_uses_compiled_sweep(self):

@@ -69,7 +69,7 @@ class SlowJob(Job):
     def _fingerprint_parts(self):
         return (self.token,)
 
-    def run_serial(self):
+    def run(self, pool):
         if self.gate is not None:
             self.gate.wait(timeout=10.0)
         self.executions += 1
@@ -184,9 +184,9 @@ class TestCoalescing:
 
         def lead():
             class Signalling(SlowJob):
-                def run_serial(self):
+                def run(self, pool):
                     leader_started.set()
-                    return super().run_serial()
+                    return super().run(pool)
             engine.run_shared(Signalling("slow", gate=release))
 
         leader = threading.Thread(target=lead)
@@ -205,9 +205,9 @@ class TestCoalescing:
 
         def lead():
             class Signalling(SlowJob):
-                def run_serial(self):
+                def run(self, pool):
                     started.set()
-                    return super().run_serial()
+                    return super().run(pool)
             engine.run_shared(Signalling("a", gate=release), slots=slots)
 
         leader = threading.Thread(target=lead)

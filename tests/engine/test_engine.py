@@ -224,6 +224,16 @@ class TestSimWiring:
             with pytest.raises(SimulationError):
                 monte_carlo_probability(tree, **kwargs)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_misspelled_override_is_rejected_at_any_shard_count(self,
+                                                                 shards):
+        from repro.elbtunnel import corridor_fault_tree
+        with pytest.raises(EngineError,
+                           match="did you mean 'Signal not shown'"):
+            monte_carlo_probability(corridor_fault_tree(),
+                                    {"Signal not shwon": 0.5},
+                                    samples=2000, seed=1, shards=shards)
+
 
 class TestBatchCli:
     def jobs_file(self, tmp_path):

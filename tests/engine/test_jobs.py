@@ -150,8 +150,6 @@ class TestSweepJob:
             SweepJob(tree, {"A": identity("pA")}, [])
         with pytest.raises(EngineError):
             SweepJob(tree, {"A": identity("pA")}, [{"other": 0.1}])
-        with pytest.raises(EngineError):
-            SweepJob(tree, {"A": identity("pA")}, [{"pA": 0.1}], chunks=0)
 
 
 class TestMonteCarloJob:

@@ -18,6 +18,24 @@ def small_tree():
                                           primary("B", 0.2)]))
 
 
+def _offset_rows(payload):
+    """A row-wise worker function: every row plus the common offset."""
+    offset, block = payload
+    return [offset + row for row in block]
+
+
+class RecordingPool(WorkerPool):
+    """Runs ``map`` in-process and keeps every payload it was given."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.payloads = []
+
+    def map(self, fn, payloads, timeout=None):
+        self.payloads.extend(payloads)
+        return [fn(payload) for payload in payloads]
+
+
 class TestChunking:
     def test_even_split(self):
         assert chunk_indices(6, 3) == [(0, 2), (2, 4), (4, 6)]
@@ -61,7 +79,6 @@ class TestWorkerPool:
 
     def test_serial_map_preserves_order(self):
         pool = WorkerPool(1)
-        assert not pool.is_parallel
         results = pool.map(run_monte_carlo_shard,
                            [(small_tree(), None, 100, seed)
                             for seed in (1, 2, 3)])
@@ -72,22 +89,41 @@ class TestWorkerPool:
 
     def test_parallel_map_matches_serial(self):
         tree = small_tree()
-        cut_sets = mocus(tree)
-        chunk = [(i, {"A": 0.01 * (i + 1), "B": 0.2}) for i in range(8)]
-        payloads = [
-            (tree, cut_sets, "rare_event", ConstraintPolicy.INDEPENDENT,
-             chunk[:4]),
-            (tree, cut_sets, "rare_event", ConstraintPolicy.INDEPENDENT,
-             chunk[4:]),
-        ]
+        common = (tree, mocus(tree), "rare_event",
+                  ConstraintPolicy.INDEPENDENT)
+        points = [{"A": 0.01 * (i + 1), "B": 0.2} for i in range(8)]
+        payloads = [(common, points[:4]), (common, points[4:])]
         serial = WorkerPool(1).map(run_quantify_chunk, payloads)
         parallel = WorkerPool(2).map(run_quantify_chunk, payloads)
         assert serial == parallel
 
     def test_worker_exceptions_propagate(self):
         tree = small_tree()
-        payloads = [(tree, None, "no_such_method",
-                     ConstraintPolicy.INDEPENDENT, [(0, {})])]
+        payloads = [((tree, None, "no_such_method",
+                      ConstraintPolicy.INDEPENDENT), [{}])]
         from repro.errors import QuantificationError
         with pytest.raises(QuantificationError):
             WorkerPool(1).map(run_quantify_chunk, payloads)
+
+
+class TestMapRows:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_come_back_in_row_order(self, workers):
+        rows = list(range(23))
+        assert WorkerPool(workers).map_rows(_offset_rows, 100, rows) == \
+            [100 + row for row in rows]
+
+    def test_one_block_at_one_worker(self):
+        pool = RecordingPool(1)
+        pool.map_rows(_offset_rows, 0, list(range(40)))
+        assert pool.payloads == [(0, list(range(40)))]
+
+    def test_blocks_per_worker_through_map(self, monkeypatch):
+        # The layout lever the invariance tests turn must reach the split.
+        monkeypatch.setattr("repro.engine.pool.BLOCKS_PER_WORKER", 2)
+        pool = RecordingPool(3)
+        assert pool.map_rows(_offset_rows, 1, list(range(40))) == \
+            list(range(1, 41))
+        assert len(pool.payloads) == 2 * 3
+        assert [row for _common, block in pool.payloads
+                for row in block] == list(range(40))

@@ -36,10 +36,6 @@ class TestValidation:
         with pytest.raises(EngineError):
             SimulationJob(config(), replications=0)
 
-    def test_rejects_bad_shards(self):
-        with pytest.raises(EngineError):
-            SimulationJob(config(), replications=4, shards=0)
-
     def test_seed_defaults_to_config_seed(self):
         assert SimulationJob(config(seed=9)).seed == 9
         assert SimulationJob(config(seed=9), seed=2).seed == 2
@@ -80,12 +76,6 @@ class TestFingerprint:
         assert list(a.run_serial().counters.rows()) == \
             list(b.run_serial().counters.rows())
 
-    def test_shards_are_an_execution_detail(self):
-        assert SimulationJob(config(), replications=4,
-                             shards=2).fingerprint() == \
-            SimulationJob(config(), replications=4,
-                          shards=7).fingerprint()
-
 
 class TestExecution:
     def test_single_replication_reproduces_scalar_simulate(self):
@@ -102,14 +92,18 @@ class TestExecution:
         job = SimulationJob(config(), replications=5, seed=11)
         assert job.seed_plan() == replication_seeds(11, 5)
 
-    @pytest.mark.parametrize("workers,shards", [(2, None), (3, 2),
-                                                (4, 8), (2, 16)])
-    def test_worker_and_shard_invariance(self, workers, shards):
+    @pytest.mark.parametrize("workers,blocks_per_worker",
+                             [(2, None), (3, 2), (4, 8), (2, 16)])
+    def test_worker_and_shard_invariance(self, workers, blocks_per_worker,
+                                         monkeypatch):
         """The acceptance contract: layout cannot perturb any counter."""
+        if blocks_per_worker is not None:
+            monkeypatch.setattr("repro.engine.pool.BLOCKS_PER_WORKER",
+                                blocks_per_worker)
         reference = SimulationJob(config(),
                                   replications=8).run_serial()
-        sharded = SimulationJob(config(), replications=8,
-                                shards=shards).run(WorkerPool(workers))
+        sharded = SimulationJob(config(),
+                                replications=8).run(WorkerPool(workers))
         assert list(sharded.counters.rows()) == \
             list(reference.counters.rows())
         assert sharded.seeds == reference.seeds

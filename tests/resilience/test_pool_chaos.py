@@ -145,9 +145,38 @@ class TestTransientRetry:
     def test_deterministic_errors_never_retried(self):
         tree = small_tree()
         from repro.engine.pool import run_quantify_chunk
-        payloads = [(tree, None, "no_such_method",
-                     ConstraintPolicy.INDEPENDENT, [(0, {})])]
+        payloads = [((tree, None, "no_such_method",
+                      ConstraintPolicy.INDEPENDENT), [{}])]
         pool = WorkerPool(1, retry=FAST_RETRY)
         with pytest.raises(QuantificationError):
             pool.map(run_quantify_chunk, payloads)
         assert pool.retries == 0
+
+
+def test_row_jobs_at_one_worker_pass_the_shard_site():
+    """Sweep and UQ blocks at one worker run through ``pool.map`` like
+    Monte Carlo shards: an injected I/O error at ``pool.shard`` is
+    retried, and the results equal the fault-free engine's."""
+    from repro.elbtunnel import (
+        corridor_fault_tree,
+        corridor_uncertain_model,
+    )
+    from repro.engine import Engine, UncertaintyJob, jobs_from_payload
+
+    def run(plan=None):
+        engine = Engine(workers=1, fault_plan=plan, retry=FAST_RETRY)
+        sweep, = jobs_from_payload({"type": "sweep", "tree": "corridor",
+                                    "method": "exact", "axes": {
+                                        "Signal not shown": [1e-4, 1e-3],
+                                        "OHV in section 2 ignores stop":
+                                            [0.01, 0.02]}})
+        uq = UncertaintyJob(corridor_fault_tree(),
+                            corridor_uncertain_model(), samples=64,
+                            seed=3)
+        return [engine.run(sweep), engine.run(uq)], engine.stats()
+
+    plan = FaultPlan(seed=5).inject("pool.shard", "io_error")
+    results, stats = run(plan)
+    assert results == run()[0]
+    assert plan.fired("pool.shard") >= 1
+    assert stats.retries >= 1

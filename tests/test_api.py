@@ -106,21 +106,36 @@ def test_no_cross_contamination_of_names():
     assert c is d
 
 
-def test_startup_imports_no_scipy():
-    """The entry points load without SciPy: importing it costs more
-    than the rest of the library, and only Beta/Gamma quantiles and
-    the scipy optimizer bridge use it."""
+def _modules_after_import(imports, package):
+    """The ``package`` modules loaded by a fresh interpreter after
+    ``import <imports>``."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [p for p in (src, env.get("PYTHONPATH")) if p])
     code = ("import json, sys\n"
-            "import repro.engine, repro.serve, repro.cli, repro.uq\n"
-            "import repro.elbtunnel, repro.core\n"
+            f"import {imports}\n"
             "print(json.dumps(sorted(m for m in sys.modules\n"
-            "    if m == 'scipy' or m.startswith('scipy.'))))\n")
+            f"    if (m + '.').startswith({package + '.'!r}))))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120)
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def test_startup_imports_no_scipy():
+    """The entry points load without SciPy: importing it costs more
+    than the rest of the library, and only Beta/Gamma quantiles and
+    the scipy optimizer bridge use it."""
+    assert _modules_after_import(
+        "repro.engine, repro.serve, repro.cli, repro.uq, "
+        "repro.elbtunnel, repro.core", "scipy") == []
+
+
+def test_startup_imports_no_uq():
+    """``repro.core.uncertainty`` runs on :mod:`repro.uq` but imports it
+    inside its functions: the entry points start without it."""
+    assert _modules_after_import(
+        "repro.core, repro.engine, repro.serve, repro.cli",
+        "repro.uq") == []

@@ -35,8 +35,6 @@ class TestValidation:
             UncertaintyJob(tree, model, sampler="sobol")
         with pytest.raises(EngineError):
             UncertaintyJob(tree, model, method="inclusion_exclusion")
-        with pytest.raises(EngineError):
-            UncertaintyJob(tree, model, chunks=0)
 
     def test_describe(self, tree, model):
         text = UncertaintyJob(tree, model, samples=128).describe()
@@ -51,7 +49,7 @@ class TestDeterminism:
         for workers in (1, 2, 4):
             engine = Engine(workers=workers)
             job = UncertaintyJob(tree, model, samples=96, seed=11,
-                                 sampler="lhs", chunks=4)
+                                 sampler="lhs")
             results.append(engine.run(job))
         assert results[0].samples == results[1].samples
         assert results[0].samples == results[2].samples
@@ -59,23 +57,28 @@ class TestDeterminism:
                                    seed=11, sampler="lhs")
         assert results[0].samples == reference.samples
 
-    @pytest.mark.parametrize("chunks", [1, 3, 8])
+    @pytest.mark.parametrize("blocks_per_worker", [1, 3, 8])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_chunks_match_the_loop_oracle(self, tree, model, workers,
-                                          chunks):
+                                          blocks_per_worker, monkeypatch):
+        monkeypatch.setattr("repro.engine.pool.BLOCKS_PER_WORKER",
+                            blocks_per_worker)
         job = UncertaintyJob(tree, model, samples=40, seed=5,
-                             sampler="lhs", chunks=chunks)
+                             sampler="lhs")
         reference = loop_propagate(tree, model, n_samples=40, seed=5,
                                    sampler="lhs")
         assert Engine(workers=workers).run(job).samples \
             == reference.samples
 
-    def test_bit_identical_across_chunk_counts(self, tree, model):
+    def test_bit_identical_across_chunk_counts(self, tree, model,
+                                               monkeypatch):
         results = []
-        for chunks in (1, 3, 7):
+        for blocks_per_worker in (1, 3, 7):
+            monkeypatch.setattr("repro.engine.pool.BLOCKS_PER_WORKER",
+                                blocks_per_worker)
             engine = Engine(workers=2)
             job = UncertaintyJob(tree, model, samples=50, seed=4,
-                                 sampler="mc", chunks=chunks)
+                                 sampler="mc")
             results.append(engine.run(job))
         assert results[0].samples == results[1].samples
         assert results[0].samples == results[2].samples
@@ -112,11 +115,6 @@ class TestFingerprints:
         keys = {base.fingerprint()} | {v.fingerprint()
                                        for v in variants}
         assert len(keys) == len(variants) + 1
-
-    def test_chunks_are_an_execution_detail(self, tree, model):
-        a = UncertaintyJob(tree, model, samples=64, seed=2, chunks=2)
-        b = UncertaintyJob(tree, model, samples=64, seed=2, chunks=9)
-        assert a.fingerprint() == b.fingerprint()
 
 
 class TestCaching:

@@ -52,6 +52,18 @@ class TestSobolClosedForm:
             assert first[name] == pytest.approx(value, abs=0.02)
             assert total[name] == pytest.approx(value, abs=0.02)
 
+    def test_constant_offset_leaves_first_order_indices(self):
+        """``Y = 1000 + 2 X1 + X2``: S = (0.8, 0.2) as without the
+        offset.  The raw Saltelli product ``f_b * (f_ab - f_a)`` scales
+        its noise with the output's mean and clips both to 0 or 1 here;
+        the estimator centres ``f_b`` first."""
+        f_a, f_b, f_ab = additive_design((2.0, 1.0), n=4000, seed=0)
+        first, _total, _variance = sobol_from_samples(
+            f_a + 1000.0, f_b + 1000.0,
+            {name: values + 1000.0 for name, values in f_ab.items()})
+        assert first["x0"] == pytest.approx(0.8, abs=0.05)
+        assert first["x1"] == pytest.approx(0.2, abs=0.05)
+
     def test_constant_output_gives_zero_indices(self):
         n = 100
         flat = np.full(n, 0.5)
